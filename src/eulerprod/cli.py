@@ -78,15 +78,6 @@ def _row_line(row: ScanRow) -> str:
     )
 
 
-def _eval_flags(ev) -> tuple[str, ...]:
-    flags = []
-    if ev.outside_domain:
-        flags.append("outside-domain")
-    if ev.on_cut:
-        flags.append("on-cut")
-    return tuple(flags)
-
-
 def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is not None:
@@ -185,7 +176,7 @@ def _run_eval(args) -> list[str]:
     return [
         _csv_line(
             args.sigma, args.t, args.x, ev.value, ev.reference, ev.abs_error, rel,
-            _eval_flags(ev),
+            ev.flags,
         )
     ]
 
@@ -230,22 +221,17 @@ def _run_decay(args) -> list[str]:
         x_grid = [int(part) for part in args.x_grid.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
-    variant = _VARIANTS[args.variant]
-    cut = _CUTS[args.cut]
     s = complex(args.sigma, args.t)
-    table = sieve(max(x_grid))
-    fit = error_decay(s, x_grid, variant, table=table, cut=cut)
-    lines = []
-    for x in x_grid:
-        ev = corrected_product(
-            s, table.truncate(x), variant, cut,
-            ref_cfg=DEFAULT_CONFIG, order=EXPERIMENT_ORDER,
+    fit = error_decay(
+        s, x_grid, _VARIANTS[args.variant], table=sieve(max(x_grid)), cut=_CUTS[args.cut]
+    )
+    lines = [
+        _csv_line(
+            args.sigma, args.t, ev.x, ev.value, ev.reference, ev.abs_error,
+            ev.abs_error / abs(ev.reference), ev.flags,
         )
-        rel = ev.abs_error / abs(ev.reference)
-        lines.append(
-            _csv_line(args.sigma, args.t, x, ev.value, ev.reference, ev.abs_error, rel,
-                      _eval_flags(ev))
-        )
+        for ev in fit.evaluations
+    ]
     print(
         f"decay fit: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
         f"target={0.5 - args.sigma:.6f} points={len(fit.x_grid)}",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
-from .product import ProductVariant, corrected_product
+from .product import Evaluation, ProductVariant, corrected_product
 from .specfun import BranchSide
 from .zetaref import DEFAULT_CONFIG, ZetaRefConfig
 
@@ -125,7 +125,9 @@ class DecayFit:
     """Least-squares fit of log(error / log x) against log x.
 
     The slope estimates the decay exponent 1/2 - sigma.  ``x_grid`` and
-    ``errors`` hold the points that survived the noise floor.
+    ``errors`` hold the points that survived the noise floor;
+    ``evaluations`` holds one evaluation per x of the requested grid, in
+    grid order, including the x's the noise floor dropped.
     """
 
     sigma: float
@@ -133,6 +135,7 @@ class DecayFit:
     errors: tuple[float, ...]
     slope: float
     intercept: float
+    evaluations: tuple[Evaluation, ...]
 
 
 def _row_for_point(
@@ -158,11 +161,6 @@ def _row_for_point(
     else:
         abs_err = abs(abs(ev.value) - abs(ev.reference))
     rel_err = abs_err / abs(ev.reference)
-    flags = []
-    if ev.outside_domain:
-        flags.append("outside-domain")
-    if ev.on_cut:
-        flags.append("on-cut")
     return ScanRow(
         sigma=s.real,
         t=s.imag,
@@ -171,7 +169,7 @@ def _row_for_point(
         reference=ev.reference,
         abs_err=abs_err,
         rel_err=rel_err,
-        flags=tuple(flags),
+        flags=ev.flags,
     )
 
 
@@ -224,8 +222,9 @@ def error_decay(
 
     The grid must be ascending with at least 4 points spanning at least two
     decades.  One table is sieved to max(x_grid) (or taken from ``table``)
-    and masked downwards per point.  Errors below the double-precision noise
-    floor are dropped; fewer than 4 survivors raise InsufficientDataError.
+    and masked downwards per point; each x is evaluated once.  Errors below
+    the double-precision noise floor are dropped from the fit; fewer than 4
+    survivors raise InsufficientDataError.
     """
     s = complex(s)
     if s.real <= 0.5:
@@ -239,25 +238,26 @@ def error_decay(
         raise ValueError("x grid must span at least two decades")
     if table is None:
         table = sieve(x_grid[-1])
-    surviving_x = []
-    surviving_err = []
-    for x in x_grid:
-        ev = corrected_product(
+    evaluations = tuple(
+        corrected_product(
             s, table.truncate(x), variant, cut, ref_cfg=ref_cfg, order=EXPERIMENT_ORDER
         )
-        if ev.abs_error >= ERROR_NOISE_FLOOR:
-            surviving_x.append(x)
-            surviving_err.append(ev.abs_error)
-    if len(surviving_x) < 4:
+        for x in x_grid
+    )
+    surviving = [ev for ev in evaluations if ev.abs_error >= ERROR_NOISE_FLOOR]
+    if len(surviving) < 4:
         raise InsufficientDataError(
-            f"only {len(surviving_x)} decay points above the noise floor "
+            f"only {len(surviving)} decay points above the noise floor "
             f"{ERROR_NOISE_FLOOR}; need at least 4"
         )
+    surviving_x = tuple(ev.x for ev in surviving)
+    surviving_err = tuple(ev.abs_error for ev in surviving)
     slope, intercept = fit_decay_slope(surviving_x, surviving_err)
     return DecayFit(
         sigma=s.real,
-        x_grid=tuple(surviving_x),
-        errors=tuple(surviving_err),
+        x_grid=surviving_x,
+        errors=surviving_err,
         slope=slope,
         intercept=intercept,
+        evaluations=evaluations,
     )

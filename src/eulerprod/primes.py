@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest sieve limit accepted by default.  A plain bit-array sieve at this
-#: size needs ~100 MB transiently, which is fine at desk scale.
+#: Largest sieve limit accepted by default.  At this size the odd-only mask
+#: takes 50 MB and the returned tables 92 MB; the mask is freed before the
+#: log table is made, so the sieve peaks near 96 MB.
 DEFAULT_MAX_LIMIT = 10**8
 
 
@@ -53,6 +54,10 @@ class PrimeTable:
 def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit``.
 
+    The mask covers odd numbers only: entry i stands for 2i + 1, which
+    halves its size and skips the strikes of even multiples.  Entry 0 (the
+    number 1) is read as the prime 2.
+
     Raises ResourceLimitError when ``limit`` exceeds ``max_limit`` and
     DomainError for negative limits.
     """
@@ -65,13 +70,17 @@ def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
     if limit < 2:
         primes = np.empty(0, dtype=np.int64)
     else:
-        mask = np.ones(limit + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        primes = np.flatnonzero(mask).astype(np.int64)
-    log_primes = np.log(primes.astype(np.float64))
+        mask = np.ones((limit + 1) // 2, dtype=bool)
+        for i in range(1, (isqrt(limit) - 1) // 2 + 1):
+            if mask[i]:
+                p = 2 * i + 1
+                mask[p * p // 2 :: p] = False
+        primes = np.flatnonzero(mask)
+        del mask
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+    log_primes = np.log(primes, dtype=np.float64)
     primes.setflags(write=False)
     log_primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, log_primes=log_primes)

@@ -27,7 +27,12 @@ Per-factor principal logs never wrap because |p^-s| < 1 for Re(s) > 0, so
 every factor has positive real part.  The log sum is accumulated with an
 error-free transformation (math.fsum) on the real and imaginary parts; with
 ~78k terms at x = 10^6 a naive sum would lose about 3 digits and break the
-package's 1e-12 identity invariants.
+package's 1e-12 identity invariants.  The terms are made and summed in
+blocks of _BLOCK_TERMS primes, so a deep table never holds more than one
+block of temporaries.  fsum is exact within a block (the block's sum is
+rounded once) and then sums the block sums exactly (rounded once more), so
+a table of at most one block (x up to about 1.7e6) gives the same bits as
+one fsum over all its terms.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ _PRIME_SQUARE_WEIGHTS = {
 }
 
 
+#: Primes per block of the per-prime sums (see the module docstring).
+_BLOCK_TERMS = 1 << 17
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """One corrected-product evaluation at a point s with truncation x.
@@ -102,6 +111,33 @@ class Evaluation:
     on_cut: bool = False
     order: int = 1
 
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Markers that qualify the value: ``outside-domain``, ``on-cut``."""
+        flags = []
+        if self.outside_domain:
+            flags.append("outside-domain")
+        if self.on_cut:
+            flags.append("on-cut")
+        return tuple(flags)
+
+
+def _block_fsum(table: PrimeTable, terms) -> complex:
+    """Sum of complex per-prime terms, made and summed one block at a time.
+
+    ``terms(block)`` returns the real and the imaginary parts, as two float
+    arrays, of the terms for the primes ``table.primes[block]``.  Each
+    block's parts are summed by math.fsum, then the block sums by
+    math.fsum.  An empty table still makes one (empty) block and sums to 0.
+    """
+    re_sums = []
+    im_sums = []
+    for start in range(0, max(table.count, 1), _BLOCK_TERMS):
+        re_terms, im_terms = terms(slice(start, start + _BLOCK_TERMS))
+        re_sums.append(math.fsum(re_terms.tolist()))
+        im_sums.append(math.fsum(im_terms.tolist()))
+    return complex(math.fsum(re_sums), math.fsum(im_sums))
+
 
 def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> complex:
     """Sum of per-prime log factors for the truncated product, uncorrected.
@@ -115,23 +151,24 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     """
     s = complex(s)
     coeff, sign = _SHAPE[variant]
-    if table.count == 0:
-        return 0.0 + 0.0j
-    w = np.exp(-s * table.log_primes)
-    a = sign * w.real
-    b = sign * w.imag
-    dead = (1.0 + a == 0.0) & (b == 0.0)
-    if dead.any():
-        p = int(table.primes[int(np.argmax(dead))])
-        raise SingularFactorError(
-            f"Euler factor vanishes at prime {p} for s = {s}", prime=p
-        )
-    # log(1 + u) for u = sign * p^-s, written so the real part goes through a
-    # real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2, im = arg(1+u).
-    re_terms = 0.5 * np.log1p(2.0 * a + a * a + b * b)
-    im_terms = np.arctan2(b, 1.0 + a)
-    total = complex(math.fsum(re_terms.tolist()), math.fsum(im_terms.tolist()))
-    return coeff * total
+
+    def terms(block):
+        w = np.exp(-s * table.log_primes[block])
+        a = sign * w.real
+        b = sign * w.imag
+        one_plus_a = 1.0 + a
+        dead = (one_plus_a == 0.0) & (b == 0.0)
+        if dead.any():
+            p = int(table.primes[block][int(np.argmax(dead))])
+            raise SingularFactorError(
+                f"Euler factor vanishes at prime {p} for s = {s}", prime=p
+            )
+        # log(1 + u) for u = sign * p^-s, written so the real part goes
+        # through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
+        # im = arg(1+u).
+        return 0.5 * np.log1p(2.0 * a + a * a + b * b), np.arctan2(b, one_plus_a)
+
+    return coeff * _block_fsum(table, terms)
 
 
 def _reference(s: complex, variant: ProductVariant, cfg: ZetaRefConfig) -> complex:
@@ -239,8 +276,12 @@ def prime_zeta_truncated(
         raise SingularityError("prime zeta has a branch point at s = 1")
     if table.count == 0 and table.limit < 1:
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
-    w = np.exp(-s * table.log_primes)
-    head = complex(math.fsum(w.real.tolist()), math.fsum(w.imag.tolist()))
+
+    def terms(block):
+        w = np.exp(-s * table.log_primes[block])
+        return w.real, w.imag
+
+    head = _block_fsum(table, terms)
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z, cut).value  # raises SingularityError when x = 1
 
@@ -255,6 +296,10 @@ def mertens_ratio(table: PrimeTable) -> float:
         raise SingularityError(
             f"Mertens ratio needs at least one prime (limit >= 2), got {table.limit}"
         )
-    inv_p = 1.0 / table.primes.astype(np.float64)
-    log_product = -math.fsum(np.log1p(-inv_p).tolist())
-    return math.exp(log_product - EULER_GAMMA - math.log(math.log(table.limit)))
+
+    def terms(block):
+        log_terms = np.log1p(-1.0 / table.primes[block].astype(np.float64))
+        return log_terms, log_terms[:0]  # real terms: no imaginary part
+
+    log_sum = _block_fsum(table, terms).real
+    return math.exp(-log_sum - EULER_GAMMA - math.log(math.log(table.limit)))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from eulerprod import cli, experiments
 from eulerprod.cli import CSV_HEADER, THREADS_ENV_VAR, main
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
@@ -128,6 +129,24 @@ def test_decay_rows_and_fit_summary(capsys):
     assert [int(r["x"]) for r in rows] == [100, 1000, 10000, 100000]
     assert "decay fit: slope=" in err
     assert "target=-0.250000" in err
+
+
+def test_decay_evaluates_each_x_once(capsys, monkeypatch):
+    calls = []
+    original = experiments.corrected_product
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "corrected_product", counting)
+    monkeypatch.setattr(cli, "corrected_product", counting)
+    x_grid = [100, 1000, 10000, 100000]
+    code, out, _ = run_cli(capsys, "decay", "--sigma", "0.75", "--t", "5",
+                           "--x-grid", ",".join(map(str, x_grid)))
+    assert code == 0
+    assert len(parse_rows(out)) == len(x_grid)
+    assert len(calls) == len(x_grid)
 
 
 def test_usage_error_exit_2(capsys):

@@ -193,6 +193,20 @@ def test_error_decay_uses_order_two(table_1e5):
     assert list(fit.errors) == expected
 
 
+def test_error_decay_carries_one_evaluation_per_x(table_1e5):
+    # At s = 3 + 5i the error at x = 10^5 (6e-15) is below the noise floor:
+    # the fit drops it, the evaluations keep it.
+    grid = [10, 10**2, 10**3, 10**4, 10**5]
+    s = 3.0 + 5.0j
+    fit = error_decay(s, grid, table=table_1e5)
+    assert list(fit.x_grid) == grid[:4]
+    assert [ev.x for ev in fit.evaluations] == grid
+    for x, ev in zip(grid, fit.evaluations):
+        assert ev == corrected_product(
+            s, table_1e5.truncate(x), ref_cfg=DEFAULT_CONFIG, order=2
+        )
+
+
 def test_error_decay_real_axis_sigma_15(table_1e6):
     # On the real axis the oscillating constant makes the fitted slope
     # overshoot the 1/2 - sigma target (measured -1.38 against -1.0 on this

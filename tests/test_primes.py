@@ -114,5 +114,21 @@ def test_truncate_upwards_rejected(table_1e3):
         table_1e3.truncate(10**4)
 
 
+def test_sieve_matches_trial_division_for_every_small_limit():
+    brute = [n for n in range(2001) if is_prime_trial(n)]
+    for limit in range(2001):
+        expected = [p for p in brute if p <= limit]
+        assert sieve(limit).primes.tolist() == expected, limit
+
+
+def test_tables_are_int64_float64_read_only_and_bit_exact(table_1e6):
+    assert table_1e6.primes.dtype == np.int64
+    assert table_1e6.log_primes.dtype == np.float64
+    assert not table_1e6.primes.flags.writeable
+    assert not table_1e6.log_primes.flags.writeable
+    expected = np.log(table_1e6.primes.astype(np.float64))
+    assert table_1e6.log_primes.tobytes() == expected.tobytes()
+
+
 def test_log_primes_cached(table_1e3):
     assert np.allclose(table_1e3.log_primes, np.log(table_1e3.primes.astype(float)))

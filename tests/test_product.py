@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eulerprod import product
 from eulerprod import (
     EULER_GAMMA,
     ProductVariant,
@@ -59,6 +60,50 @@ def test_log_raw_singular_factor():
     with pytest.raises(SingularFactorError) as info:
         log_raw_product(0.0 + 0.0j, table, ZETA)
     assert info.value.prime == 2
+
+
+def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
+    # 1229 primes fit in one block by default; blocks of 7 split them into
+    # 176.  Each block sum is rounded once, so the two differ by rounding
+    # only.  Against mpmath the bound covers the rounding of each term.
+    mpmath = pytest.importorskip("mpmath")
+    points = (2.0 + 0.0j, 0.8 + 17.0j, 0.55 - 3.0j, 1.3 + 42.0j)
+    one_block = {
+        (s, v): log_raw_product(s, table_1e4, v) for s in points for v in ProductVariant
+    }
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    signs = {ZETA: (-1, -1), INVERSE: (1, -1), RATIO: (-1, 1)}
+    for s in points:
+        for variant, (coeff, sign) in signs.items():
+            blocked = log_raw_product(s, table_1e4, variant)
+            assert abs(blocked - one_block[s, variant]) < 1e-14
+            with mpmath.workdps(30):
+                exact = coeff * mpmath.fsum(
+                    mpmath.log(1 + sign * mpmath.mpf(int(p)) ** -mpmath.mpc(s))
+                    for p in table_1e4.primes
+                )
+                exact = complex(exact)
+            assert abs(blocked - exact) < 1e-13
+    with pytest.raises(SingularFactorError) as info:
+        log_raw_product(0.0 + 0.0j, table_1e4, ZETA)
+    assert info.value.prime == 2
+
+
+def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
+    one_block = (
+        mertens_ratio(table_1e4),
+        prime_zeta_truncated(2.0, table_1e4),
+        prime_zeta_truncated(0.7 + 9.0j, table_1e4),
+    )
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    blocked = (
+        mertens_ratio(table_1e4),
+        prime_zeta_truncated(2.0, table_1e4),
+        prime_zeta_truncated(0.7 + 9.0j, table_1e4),
+    )
+    for a, b in zip(one_block, blocked):
+        assert abs(a - b) < 1e-14
+    assert isinstance(blocked[0], float)
 
 
 # ---------------------------------------------------------- corrected_product
