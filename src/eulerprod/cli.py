@@ -14,15 +14,12 @@ grid point whose evaluation failed.
 Every product value is evaluated at correction order 2, the paper's E1
 factor plus the prime-square term on 1/2 < Re(s) < 1 (see
 eulerprod.product and eulerprod.experiments.EXPERIMENT_ORDER).
-
-Scans may be parallelised by setting EULERPROD_THREADS (default: machine
-parallelism); row order and bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -41,8 +38,6 @@ from .specfun import BranchSide, e1
 from .zetaref import DEFAULT_CONFIG
 
 CSV_HEADER = "sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags"
-
-THREADS_ENV_VAR = "EULERPROD_THREADS"
 
 _VARIANTS = {v.value: v for v in ProductVariant}
 _CUTS = {"above": BranchSide.FROM_ABOVE, "below": BranchSide.FROM_BELOW}
@@ -78,17 +73,15 @@ def _row_line(row: ScanRow) -> str:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise EulerProductError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-        if n < 1:
-            raise EulerProductError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: nan and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, *, variant=True, cut=True) -> None:
@@ -120,23 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate the corrected product at one point")
-    p.add_argument("--sigma", type=float, required=True, help="real part of s")
-    p.add_argument("--t", type=float, default=0.0, help="imaginary part of s")
+    p.add_argument("--sigma", type=_finite_float, required=True, help="real part of s")
+    p.add_argument("--t", type=_finite_float, default=0.0, help="imaginary part of s")
     p.add_argument("--x", type=int, default=1000, help="truncation limit (primes <= x)")
     _add_common(p)
 
     p = sub.add_parser("scan-real", help="scan real s between s-min and s-max")
-    p.add_argument("--s-min", type=float, required=True)
-    p.add_argument("--s-max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--s-min", type=_finite_float, required=True)
+    p.add_argument("--s-max", type=_finite_float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--x", type=int, default=1000)
     _add_common(p)
 
     p = sub.add_parser("scan-line", help="scan up the vertical line Re(s) = sigma")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0, help="start of the t range")
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, default=0.0, help="start of the t range")
+    p.add_argument("--t-max", type=_finite_float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--x", type=int, default=1000)
     _add_common(p)
 
@@ -145,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, variant=False, cut=False)
 
     p = sub.add_parser("decay", help="fit the error-decay exponent across truncations")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=5.0, help="imaginary part of s")
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, default=5.0, help="imaginary part of s")
     p.add_argument(
         "--x-grid",
         default="1000,10000,100000,1000000",
@@ -155,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("e1", help="evaluate the exponential integral E1 at one point")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
+    p.add_argument("--re", type=_finite_float, required=True)
+    p.add_argument("--im", type=_finite_float, default=0.0)
     _add_common(p, variant=False)
 
     return parser
@@ -191,7 +184,7 @@ def _run_scan_real(args) -> list[str]:
         s_min=args.s_min,
         s_max=args.s_max,
     )
-    rows = scan(spec, sieve(args.x), max_workers=_thread_count())
+    rows = scan(spec, sieve(args.x))
     return [_row_line(r) for r in rows]
 
 
@@ -206,7 +199,7 @@ def _run_scan_line(args) -> list[str]:
         t_min=args.t,
         t_max=args.t_max,
     )
-    rows = scan(spec, sieve(args.x), max_workers=_thread_count())
+    rows = scan(spec, sieve(args.x))
     return [_row_line(r) for r in rows]
 
 
@@ -222,9 +215,7 @@ def _run_decay(args) -> list[str]:
     except ValueError:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
     s = complex(args.sigma, args.t)
-    fit = error_decay(
-        s, x_grid, _VARIANTS[args.variant], table=sieve(max(x_grid)), cut=_CUTS[args.cut]
-    )
+    fit = error_decay(s, x_grid, _VARIANTS[args.variant], cut=_CUTS[args.cut])
     lines = [
         _csv_line(
             args.sigma, args.t, ev.x, ev.value, ev.reference, ev.abs_error,

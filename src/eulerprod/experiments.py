@@ -5,15 +5,11 @@ corrected product against the independent zeta reference at every grid
 point.  Decay experiments measure how the absolute error shrinks as the
 truncation x grows and fit the exponent, which should land near 1/2 - sigma.
 Both evaluate the corrected product at EXPERIMENT_ORDER.
-
-Rows are pure functions of the spec and can be computed concurrently; output
-order is always grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -49,7 +45,8 @@ class ScanSpec:
 
     RealAxis mode sweeps real s from s_min to s_max; VerticalLine mode fixes
     sigma and sweeps t from t_min to t_max.  ``step`` must be positive and
-    the range nonempty (equal endpoints give a single point).
+    the range nonempty (equal endpoints give a single point).  Step, sigma
+    and bounds must be finite.
     """
 
     mode: ScanMode
@@ -64,6 +61,10 @@ class ScanSpec:
     t_max: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("step", "sigma", "s_min", "s_max", "t_min", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.x < 1:
@@ -174,30 +175,18 @@ def _row_for_point(
 
 
 def scan(
-    spec: ScanSpec,
-    table: PrimeTable,
-    ref_cfg: ZetaRefConfig = DEFAULT_CONFIG,
-    max_workers: Optional[int] = None,
+    spec: ScanSpec, table: PrimeTable, ref_cfg: ZetaRefConfig = DEFAULT_CONFIG
 ) -> list[ScanRow]:
-    """Evaluate the corrected product over the spec's grid.
+    """Evaluate the corrected product over the spec's grid, in grid order.
 
     ``table`` must have been sieved to exactly spec.x.  Per-point failures
-    become error-flagged rows rather than aborting the scan.  With
-    ``max_workers`` > 1 rows are computed by a thread pool; results are
-    returned in grid order either way and are bit-identical across worker
-    counts.
+    become error-flagged rows rather than aborting the scan.
     """
     if table.limit != spec.x:
         raise DomainError(
             f"table sieved to {table.limit} but the scan requests x = {spec.x}"
         )
-    points = spec.grid()
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda s: _row_for_point(s, spec, table, ref_cfg), points)
-            )
-    return [_row_for_point(s, spec, table, ref_cfg) for s in points]
+    return [_row_for_point(s, spec, table, ref_cfg) for s in spec.grid()]
 
 
 def fit_decay_slope(

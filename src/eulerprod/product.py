@@ -24,15 +24,19 @@ Three product shapes are supported:
                zeta(2s)/zeta(s)
 
 Per-factor principal logs never wrap because |p^-s| < 1 for Re(s) > 0, so
-every factor has positive real part.  The log sum is accumulated with an
-error-free transformation (math.fsum) on the real and imaginary parts; with
-~78k terms at x = 10^6 a naive sum would lose about 3 digits and break the
-package's 1e-12 identity invariants.  The terms are made and summed in
-blocks of _BLOCK_TERMS primes, so a deep table never holds more than one
-block of temporaries.  fsum is exact within a block (the block's sum is
-rounded once) and then sums the block sums exactly (rounded once more), so
-a table of at most one block (x up to about 1.7e6) gives the same bits as
-one fsum over all its terms.
+every factor has positive real part.  With ~78k terms at x = 10^6 a naive
+sum would lose about 3 digits and break the package's 1e-12 identity
+invariants, so every per-prime sum is an error-free cascade (Ogita, Rump &
+Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
+The terms are made in blocks of _BLOCK_TERMS primes, so a deep table never
+holds more than one block of temporaries.  Each block is halved level by
+level with TwoSum, which splits a + b exactly into the rounded sum and its
+error, until it is at most _CASCADE_STOP columns wide.  The errors of each
+level are summed, and math.fsum adds up those error sums, the odd columns
+left over and the last level's columns of every block.
+The result is within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of
+n terms; it equals one math.fsum over all terms unless that sum lies within
+about n 2^-104 sum |term| of a rounding boundary.
 """
 
 from __future__ import annotations
@@ -85,6 +89,10 @@ _PRIME_SQUARE_WEIGHTS = {
 #: Primes per block of the per-prime sums (see the module docstring).
 _BLOCK_TERMS = 1 << 17
 
+#: Width at which the cascade stops halving a block.  A level costs about
+#: ten numpy calls, more than math.fsum takes for this many columns.
+_CASCADE_STOP = 128
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -122,21 +130,26 @@ class Evaluation:
         return tuple(flags)
 
 
-def _block_fsum(table: PrimeTable, terms) -> complex:
-    """Sum of complex per-prime terms, made and summed one block at a time.
+def _prime_sums(count: int, terms) -> list[float]:
+    """Sums of ``count`` per-prime terms, made and summed one block at a time.
 
-    ``terms(block)`` returns the real and the imaginary parts, as two float
-    arrays, of the terms for the primes ``table.primes[block]``.  Each
-    block's parts are summed by math.fsum, then the block sums by
-    math.fsum.  An empty table still makes one (empty) block and sums to 0.
+    ``terms(block)`` returns a 2-D float array with one row per quantity and
+    one column per term of ``block``, a slice of range(count).  Returns one
+    sum per row (module docstring); no terms sum to 0.
     """
-    re_sums = []
-    im_sums = []
-    for start in range(0, max(table.count, 1), _BLOCK_TERMS):
-        re_terms, im_terms = terms(slice(start, start + _BLOCK_TERMS))
-        re_sums.append(math.fsum(re_terms.tolist()))
-        im_sums.append(math.fsum(im_terms.tolist()))
-    return complex(math.fsum(re_sums), math.fsum(im_sums))
+    partials = []
+    for start in range(0, max(count, 1), _BLOCK_TERMS):
+        level = terms(slice(start, start + _BLOCK_TERMS))
+        while level.shape[1] > _CASCADE_STOP:
+            half, odd = divmod(level.shape[1], 2)
+            if odd:
+                partials.append(level[:, -1:])
+            a, b = level[:, :half], level[:, half : 2 * half]
+            level = a + b
+            t = level - a
+            partials.append(((a - (level - t)) + (b - t)).sum(axis=1, keepdims=True))
+        partials.append(level)
+    return [math.fsum(row) for row in np.concatenate(partials, axis=1).tolist()]
 
 
 def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> complex:
@@ -166,9 +179,12 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
         # log(1 + u) for u = sign * p^-s, written so the real part goes
         # through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
         # im = arg(1+u).
-        return 0.5 * np.log1p(2.0 * a + a * a + b * b), np.arctan2(b, one_plus_a)
+        return np.array(
+            (0.5 * np.log1p(2.0 * a + a * a + b * b), np.arctan2(b, one_plus_a))
+        )
 
-    return coeff * _block_fsum(table, terms)
+    re, im = _prime_sums(table.count, terms)
+    return coeff * complex(re, im)
 
 
 def _reference(s: complex, variant: ProductVariant, cfg: ZetaRefConfig) -> complex:
@@ -279,9 +295,9 @@ def prime_zeta_truncated(
 
     def terms(block):
         w = np.exp(-s * table.log_primes[block])
-        return w.real, w.imag
+        return np.array((w.real, w.imag))
 
-    head = _block_fsum(table, terms)
+    head = complex(*_prime_sums(table.count, terms))
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z, cut).value  # raises SingularityError when x = 1
 
@@ -298,8 +314,7 @@ def mertens_ratio(table: PrimeTable) -> float:
         )
 
     def terms(block):
-        log_terms = np.log1p(-1.0 / table.primes[block].astype(np.float64))
-        return log_terms, log_terms[:0]  # real terms: no imaginary part
+        return np.log1p(-1.0 / table.primes[block].astype(np.float64))[np.newaxis]
 
-    log_sum = _block_fsum(table, terms).real
+    (log_sum,) = _prime_sums(table.count, terms)
     return math.exp(-log_sum - EULER_GAMMA - math.log(math.log(table.limit)))

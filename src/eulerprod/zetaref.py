@@ -6,9 +6,11 @@ alternating (Dirichlet eta) series accelerated with Chebyshev-derived
 weights, then divided by the eta factor (1 - 2^(1-s)).
 
 With the default depth of 64 terms the result is accurate to ~1e-14 relative
-for Re(s) >= 0.5 and |Im(s)| <= 50, which covers every scan in this package.
-The acceleration error grows like exp(pi |t| / 2) / (3 + sqrt 8)^terms, so
-raise ``terms`` for larger heights (128 recovers ~1e-12 at |t| = 100).
+for Re(s) >= 0.5 and |Im(s)| <= 50.  It is not accurate enough for the taller
+scans: vertical lines go to t = 100, where at sigma = 0.6 the relative error
+is 1.7e-3 with 64 terms and 3.2e-14 with 128.  The acceleration error grows
+like exp(pi |t| / 2) / (3 + sqrt 8)^terms, so raise ``terms`` for larger
+heights.
 """
 
 from __future__ import annotations

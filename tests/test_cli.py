@@ -3,7 +3,7 @@ import math
 import pytest
 
 from eulerprod import cli, experiments
-from eulerprod.cli import CSV_HEADER, THREADS_ENV_VAR, main
+from eulerprod.cli import CSV_HEADER, main
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
 
@@ -98,27 +98,6 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert data.endswith(b"\n")
 
 
-def test_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
-    args = ["scan-real", "--s-min", "1.1", "--s-max", "2", "--step", "0.05",
-            "--x", "1000"]
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    path_a = tmp_path / "one.csv"
-    assert main(args + ["--out", str(path_a)]) == 0
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    path_b = tmp_path / "four.csv"
-    assert main(args + ["--out", str(path_b)]) == 0
-    capsys.readouterr()
-    assert path_a.read_bytes() == path_b.read_bytes()
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "zero")
-    code, _, err = run_cli(capsys, "scan-real", "--s-min", "1.1", "--s-max", "1.2",
-                           "--step", "0.1", "--x", "100")
-    assert code == 1
-    assert THREADS_ENV_VAR in err
-
-
 def test_decay_rows_and_fit_summary(capsys):
     code, out, err = run_cli(
         capsys, "decay", "--sigma", "0.75", "--t", "5",
@@ -156,6 +135,43 @@ def test_usage_error_exit_2(capsys):
     assert "usage error" in err
     code, _, _ = run_cli(capsys, "decay", "--sigma", "0.75", "--x-grid", "10,20")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "x_grid, message",
+    [(",", "at least 4 points"), ("1000,100,10,1000000000", "strictly ascending")],
+)
+def test_decay_grid_is_checked_before_sieving(capsys, x_grid, message):
+    # A bad grid is a usage error, found before anything is sieved: the
+    # second grid's largest entry, 10^9, is more than the sieve accepts.
+    code, out, err = run_cli(capsys, "decay", "--sigma", "0.75", "--x-grid", x_grid)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-real", "--s-min", "1.1", "--s-max", "inf", "--step", "0.1", "--x", "100"],
+        ["scan-real", "--s-min", "1.1", "--s-max", "2", "--step", "nan", "--x", "100"],
+        ["scan-line", "--sigma", "0.8", "--t-max", "inf", "--step", "0.5", "--x", "100"],
+        ["scan-line", "--sigma", "nan", "--t-max", "1", "--step", "0.5", "--x", "100"],
+        ["eval", "--sigma", "nan"],
+        ["eval", "--sigma", "inf"],
+        ["eval", "--sigma", "2", "--t", "1e400"],
+        ["decay", "--sigma", "nan"],
+        ["e1", "--re", "nan"],
+        ["e1", "--re", "1", "--im", "inf"],
+    ],
+)
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a finite number" in captured.err
 
 
 def test_numerical_error_exit_1(capsys):

@@ -2,9 +2,13 @@ import cmath
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eulerprod import product
 from eulerprod import (
@@ -27,6 +31,19 @@ ZETA = ProductVariant.ZETA
 INVERSE = ProductVariant.INVERSE_ZETA
 RATIO = ProductVariant.RATIO_ZETA2S_OVER_ZETA
 
+# (coefficient, sign) per variant: the log sum is coeff * sum log(1 + sign*p^-s).
+SHAPES = {ZETA: (-1.0, -1.0), INVERSE: (1.0, -1.0), RATIO: (-1.0, 1.0)}
+
+
+def fsum_log_raw(s, table, variant):
+    """log_raw_product's terms, each part summed by one math.fsum."""
+    coeff, sign = SHAPES[variant]
+    w = np.exp(-complex(s) * table.log_primes)
+    a, b = sign * w.real, sign * w.imag
+    re = 0.5 * np.log1p(2.0 * a + a * a + b * b)
+    im = np.arctan2(b, 1.0 + a)
+    return coeff * complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
 
 # ---------------------------------------------------------------- log_raw
 
@@ -47,7 +64,7 @@ def test_log_raw_empty_product():
 
 
 def test_log_raw_exact_negation(table_1e4):
-    # The zeta and inverse-zeta log sums are the same fsum with opposite
+    # The zeta and inverse-zeta log sums are the same sum with opposite
     # coefficient, so they negate exactly in floating point.
     for s in (2.0 + 0.0j, 0.8 + 17.0j, 1.3 - 42.0j):
         a = log_raw_product(s, table_1e4, ZETA)
@@ -64,8 +81,9 @@ def test_log_raw_singular_factor():
 
 def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
     # 1229 primes fit in one block by default; blocks of 7 split them into
-    # 176.  Each block sum is rounded once, so the two differ by rounding
-    # only.  Against mpmath the bound covers the rounding of each term.
+    # 176.  Every block passes its partials on unrounded to one final fsum,
+    # so the two agree (bit for bit in test_blocked_log_raw_equals_one_fsum).
+    # Against mpmath the bound covers the rounding of each term.
     mpmath = pytest.importorskip("mpmath")
     points = (2.0 + 0.0j, 0.8 + 17.0j, 0.55 - 3.0j, 1.3 + 42.0j)
     one_block = {
@@ -104,6 +122,65 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
     for a, b in zip(one_block, blocked):
         assert abs(a - b) < 1e-14
     assert isinstance(blocked[0], float)
+
+
+# ------------------------------------------------------------ per-prime sums
+
+
+@pytest.mark.parametrize(
+    "s",
+    [0.6, 0.8, 1.2, 2.0, 3.5, 0.55 + 0.5j, 0.55 + 14.134725j, 0.55 - 40.0j, 0.55 + 100.0j],
+)
+def test_log_raw_equals_one_fsum_at_1e6(table_1e6, s):
+    # 78498 primes: the cascade is not correctly rounded by construction,
+    # but it misses fsum's bits only within ~n 2^-104 sum|term| of a
+    # rounding boundary.
+    for variant in ProductVariant:
+        assert log_raw_product(s, table_1e6, variant) == fsum_log_raw(s, table_1e6, variant)
+
+
+def test_prime_sums_equal_fsum_at_every_width():
+    # Widths 0 to 300 take every path through the cascade: odd widths at
+    # every level, one column, none.
+    rng = np.random.default_rng(2005)
+    for width in range(301):
+        terms = rng.standard_normal((2, width)) * np.exp(rng.uniform(-40, 40, (2, width)))
+        sums = product._prime_sums(width, lambda block: terms[:, block])
+        assert sums == [math.fsum(row) for row in terms.tolist()]
+
+
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-2.0**900,
+                  max_value=2.0**900),
+        max_size=300,
+    ),
+    block_terms=st.integers(min_value=1, max_value=400),
+)
+@example(values=[2.0, 3.602879701896397e16, 3.5770349121623523e-69, 2.0], block_terms=1 << 17)
+def test_prime_sums_error_bound(values, block_terms):
+    # The cascade's sum is within 2^-53 |exact| + n 2^-104 sum|x| of the
+    # exact sum.  The example is not correctly rounded: its exact sum lies
+    # just above a tie, and the partials give the tie itself, which rounds
+    # to even, 4 below the exact sum.
+    terms = np.array([values], dtype=np.float64).reshape(1, len(values))
+    with mock.patch.object(product, "_BLOCK_TERMS", block_terms):
+        (total,) = product._prime_sums(len(values), lambda block: terms[:, block])
+    exact = sum(map(Fraction, values), Fraction(0))
+    magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
+    bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
+    assert abs(Fraction(total) - exact) <= bound
+
+
+@pytest.mark.parametrize("block_terms", [7, 1 << 13])
+def test_blocked_log_raw_equals_one_fsum(table_1e4, table_1e6, monkeypatch, block_terms):
+    # Many blocks give the bits of one fsum over all terms: no block sum is
+    # rounded on the way.
+    table = table_1e4 if block_terms < table_1e4.count else table_1e6
+    monkeypatch.setattr(product, "_BLOCK_TERMS", block_terms)
+    for s in (2.0 + 0.0j, 0.8 + 17.0j, 0.55 - 3.0j, 1.3 + 42.0j, 0.6 + 0.0j):
+        for variant in ProductVariant:
+            assert log_raw_product(s, table, variant) == fsum_log_raw(s, table, variant)
 
 
 # ---------------------------------------------------------- corrected_product
