@@ -24,6 +24,7 @@ from .experiments import (
     ScanRow,
     ScanSpec,
     error_decay,
+    evaluate,
     fit_decay_slope,
     scan,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "e1_continued_fraction",
     "e1_series",
     "error_decay",
+    "evaluate",
     "fit_decay_slope",
     "log_raw_product",
     "mertens_ratio",

@@ -1,6 +1,7 @@
 """Command-line front end emitting CSV scans of corrected Euler products.
 
-Every subcommand writes the same schema so downstream plotting stays
+Every subcommand returns eulerprod.experiments.ScanRow objects, and one
+formatter writes them in the same schema so downstream plotting stays
 uniform:
 
     sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags
@@ -11,9 +12,9 @@ cells are left empty.  The ``flags`` cell joins markers with ';':
 ``outside-domain`` and ``on-cut`` qualify a value, ``error:<Type>`` marks a
 grid point whose evaluation failed.
 
-Every product value is evaluated at correction order 2, the paper's E1
-factor plus the prime-square term on 1/2 < Re(s) < 1 (see
-eulerprod.product and eulerprod.experiments.EXPERIMENT_ORDER).
+Every product value comes from eulerprod.experiments.evaluate, at
+correction order 2: the paper's E1 factor plus the prime-square term on
+1/2 < Re(s) < 1 (see eulerprod.product and EXPERIMENT_ORDER there).
 """
 
 from __future__ import annotations
@@ -24,18 +25,10 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import EulerProductError
-from .experiments import (
-    EXPERIMENT_ORDER,
-    ScanMode,
-    ScanRow,
-    ScanSpec,
-    error_decay,
-    scan,
-)
+from .experiments import ScanMode, ScanRow, ScanSpec, error_decay, evaluate, scan
 from .primes import sieve
-from .product import ProductVariant, corrected_product, mertens_ratio
+from .product import ProductVariant, mertens_ratio
 from .specfun import BranchSide, e1
-from .zetaref import DEFAULT_CONFIG
 
 CSV_HEADER = "sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags"
 
@@ -51,26 +44,20 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _csv_line(sigma, t, x, value, reference, abs_err, rel_err, flags) -> str:
-    cells = [
-        _fmt(sigma),
-        _fmt(t),
-        _fmt(x),
-        _fmt(value.real if value is not None else None),
-        _fmt(value.imag if value is not None else None),
-        _fmt(reference.real if reference is not None else None),
-        _fmt(reference.imag if reference is not None else None),
-        _fmt(abs_err),
-        _fmt(rel_err),
-        ";".join(flags),
-    ]
-    return ",".join(cells)
-
-
 def _row_line(row: ScanRow) -> str:
-    return _csv_line(
-        row.sigma, row.t, row.x, row.value, row.reference, row.abs_err, row.rel_err, row.flags
-    )
+    value, reference = row.value, row.reference
+    cells = [
+        row.sigma,
+        row.t,
+        row.x,
+        value.real if value is not None else None,
+        value.imag if value is not None else None,
+        reference.real if reference is not None else None,
+        reference.imag if reference is not None else None,
+        row.abs_err,
+        row.rel_err,
+    ]
+    return ",".join([*map(_fmt, cells), ";".join(row.flags)])
 
 
 def _finite_float(text: str) -> float:
@@ -155,26 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_eval(args) -> list[str]:
-    table = sieve(args.x)
-    ev = corrected_product(
-        complex(args.sigma, args.t),
-        table,
-        _VARIANTS[args.variant],
-        _CUTS[args.cut],
-        ref_cfg=DEFAULT_CONFIG,
-        order=EXPERIMENT_ORDER,
-    )
-    rel = ev.abs_error / abs(ev.reference)
-    return [
-        _csv_line(
-            args.sigma, args.t, args.x, ev.value, ev.reference, ev.abs_error, rel,
-            ev.flags,
-        )
-    ]
+def _run_eval(args) -> list[ScanRow]:
+    s = complex(args.sigma, args.t)
+    return [evaluate(s, sieve(args.x), _VARIANTS[args.variant], _CUTS[args.cut])]
 
 
-def _run_scan_real(args) -> list[str]:
+def _run_scan_real(args) -> list[ScanRow]:
     spec = ScanSpec(
         mode=ScanMode.REAL_AXIS,
         x=args.x,
@@ -184,11 +157,10 @@ def _run_scan_real(args) -> list[str]:
         s_min=args.s_min,
         s_max=args.s_max,
     )
-    rows = scan(spec, sieve(args.x))
-    return [_row_line(r) for r in rows]
+    return scan(spec, sieve(args.x))
 
 
-def _run_scan_line(args) -> list[str]:
+def _run_scan_line(args) -> list[ScanRow]:
     spec = ScanSpec(
         mode=ScanMode.VERTICAL_LINE,
         x=args.x,
@@ -199,42 +171,34 @@ def _run_scan_line(args) -> list[str]:
         t_min=args.t,
         t_max=args.t_max,
     )
-    rows = scan(spec, sieve(args.x))
-    return [_row_line(r) for r in rows]
+    return scan(spec, sieve(args.x))
 
 
-def _run_mertens(args) -> list[str]:
+def _run_mertens(args) -> list[ScanRow]:
     ratio = mertens_ratio(sieve(args.x))
     dev = abs(ratio - 1.0)
-    return [_csv_line(1.0, 0.0, args.x, complex(ratio), complex(1.0), dev, dev, ())]
+    return [ScanRow(1.0, 0.0, args.x, complex(ratio), complex(1.0), dev, dev, ())]
 
 
-def _run_decay(args) -> list[str]:
+def _run_decay(args) -> list[ScanRow]:
     try:
         x_grid = [int(part) for part in args.x_grid.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
     s = complex(args.sigma, args.t)
     fit = error_decay(s, x_grid, _VARIANTS[args.variant], cut=_CUTS[args.cut])
-    lines = [
-        _csv_line(
-            args.sigma, args.t, ev.x, ev.value, ev.reference, ev.abs_error,
-            ev.abs_error / abs(ev.reference), ev.flags,
-        )
-        for ev in fit.evaluations
-    ]
     print(
         f"decay fit: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
         f"target={0.5 - args.sigma:.6f} points={len(fit.x_grid)}",
         file=sys.stderr,
     )
-    return lines
+    return list(fit.rows)
 
 
-def _run_e1(args) -> list[str]:
+def _run_e1(args) -> list[ScanRow]:
     result = e1(complex(args.re, args.im), _CUTS[args.cut])
     flags = ("on-cut",) if result.on_cut else ()
-    return [_csv_line(args.re, args.im, None, result.value, None, None, None, flags)]
+    return [ScanRow(args.re, args.im, None, result.value, None, None, None, flags)]
 
 
 _RUNNERS = {
@@ -251,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lines = _RUNNERS[args.command](args)
+        rows = _RUNNERS[args.command](args)
     except ValueError as exc:
         # Bad flag combinations (empty ranges, unparsable grids) are usage
         # errors; numerical failures exit 1 below.
@@ -260,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EulerProductError as exc:
         print(f"eulerprod: error: {exc}", file=sys.stderr)
         return 1
-    text = "\n".join([CSV_HEADER, *lines]) + "\n"
+    text = "\n".join([CSV_HEADER, *map(_row_line, rows)]) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -1,10 +1,12 @@
 """Grid scans and error-decay measurements for corrected Euler products.
 
-Scans sweep s along the real axis or up a vertical line, comparing the
-corrected product against the independent zeta reference at every grid
-point.  Decay experiments measure how the absolute error shrinks as the
-truncation x grows and fit the exponent, which should land near 1/2 - sigma.
-Both evaluate the corrected product at EXPERIMENT_ORDER.
+``evaluate`` is the one place where a corrected product is compared with
+its reference: it evaluates the product at EXPERIMENT_ORDER, asks the
+variant for the independent zeta reference and returns the ScanRow with
+both errors.  Scans sweep s along the real axis or up a vertical line and
+make one row per grid point with it.  Decay experiments make one row per
+truncation x, measure how the absolute error shrinks as x grows and fit
+the exponent, which should land near 1/2 - sigma.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
-from .product import Evaluation, ProductVariant, corrected_product
+from .product import ProductVariant, corrected_product
 from .specfun import BranchSide
-from .zetaref import DEFAULT_CONFIG, ZetaRefConfig
 
 #: Real-axis scans skip grid points closer than this to the pole at s = 1.
 POLE_GUARD = 0.05
@@ -28,6 +29,10 @@ POLE_GUARD = 0.05
 #: Correction order of every scan and decay fit: the paper's E1 factor plus
 #: the prime-square term on 1/2 < Re(s) < 1 (see eulerprod.product).
 EXPERIMENT_ORDER = 2
+
+#: Most points a scan grid may have; larger grids are refused before any
+#: point is made.
+MAX_GRID_POINTS = 10**6
 
 #: Errors below this are indistinguishable from double-precision noise and
 #: are dropped from decay fits.
@@ -46,7 +51,7 @@ class ScanSpec:
     RealAxis mode sweeps real s from s_min to s_max; VerticalLine mode fixes
     sigma and sweeps t from t_min to t_max.  ``step`` must be positive and
     the range nonempty (equal endpoints give a single point).  Step, sigma
-    and bounds must be finite.
+    and bounds must be finite, and the grid at most MAX_GRID_POINTS long.
     """
 
     mode: ScanMode
@@ -79,17 +84,31 @@ class ScanSpec:
                 raise ValueError("vertical-line scans need sigma, t_min and t_max")
             if self.t_max < self.t_min:
                 raise ValueError(f"empty range: t_max {self.t_max} < t_min {self.t_min}")
+        # The grid has floor(steps) + 1 points.  Compared as a float, so a
+        # step that makes it overflow int() is refused too.
+        steps = self._steps()
+        if steps >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {steps + 1:.3g} points exceeds MAX_GRID_POINTS = "
+                f"{MAX_GRID_POINTS}"
+            )
+
+    def _range(self) -> tuple[float, float]:
+        if self.mode is ScanMode.REAL_AXIS:
+            return self.s_min, self.s_max
+        return self.t_min, self.t_max
+
+    def _steps(self) -> float:
+        lo, hi = self._range()
+        return (hi - lo) / self.step + 1e-9
 
     def grid(self) -> list[complex]:
         """Grid points, built index-first so steps do not accumulate error.
 
         Real-axis grids drop points inside the pole guard |s - 1| < 0.05.
         """
-        if self.mode is ScanMode.REAL_AXIS:
-            lo, hi = self.s_min, self.s_max
-        else:
-            lo, hi = self.t_min, self.t_max
-        n = int(math.floor((hi - lo) / self.step + 1e-9)) + 1
+        lo, _ = self._range()
+        n = int(math.floor(self._steps())) + 1
         values = [lo + i * self.step for i in range(n)]
         if self.mode is ScanMode.REAL_AXIS:
             points = [
@@ -103,17 +122,21 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One grid point of a scan.
+    """One CSV row: a product value at s = sigma + i t and truncation x,
+    compared with its reference.
 
-    In real-axis mode the recorded error compares Re(value) with the (real)
-    reference; in vertical-line mode it compares the two moduli, matching
-    what the corresponding plots show.  Rows for points where evaluation
-    failed carry an ``error:<Type>`` flag and empty values.
+    ``evaluate`` makes every compared row.  Real-axis scans record the
+    error between Re(value) and the (real) reference, vertical-line scans
+    between the two moduli, matching what the corresponding plots show;
+    single points and decay fits record |value - reference|.  ``rel_err``
+    is ``abs_err`` / |reference|.  Rows for points where evaluation failed
+    carry an ``error:<Type>`` flag and empty values.  The CLI also writes
+    rows with no reference (E1 values, with no x) through this class.
     """
 
     sigma: float
     t: float
-    x: int
+    x: Optional[int]
     value: Optional[complex]
     reference: Optional[complex]
     abs_err: Optional[float]
@@ -126,9 +149,9 @@ class DecayFit:
     """Least-squares fit of log(error / log x) against log x.
 
     The slope estimates the decay exponent 1/2 - sigma.  ``x_grid`` and
-    ``errors`` hold the points that survived the noise floor;
-    ``evaluations`` holds one evaluation per x of the requested grid, in
-    grid order, including the x's the noise floor dropped.
+    ``errors`` hold the points that survived the noise floor; ``rows`` holds
+    one ``evaluate`` row per x of the requested grid, in grid order,
+    including the x's the noise floor dropped.
     """
 
     sigma: float
@@ -136,47 +159,44 @@ class DecayFit:
     errors: tuple[float, ...]
     slope: float
     intercept: float
-    evaluations: tuple[Evaluation, ...]
+    rows: tuple[ScanRow, ...]
 
 
-def _row_for_point(
-    s: complex, spec: ScanSpec, table: PrimeTable, ref_cfg: ZetaRefConfig
+def evaluate(
+    s: complex,
+    table: PrimeTable,
+    variant: ProductVariant = ProductVariant.ZETA,
+    cut: BranchSide = BranchSide.FROM_ABOVE,
+    mode: Optional[ScanMode] = None,
 ) -> ScanRow:
-    try:
-        ev = corrected_product(
-            s, table, spec.variant, spec.cut, ref_cfg=ref_cfg, order=EXPERIMENT_ORDER
-        )
-    except EulerProductError as exc:
-        return ScanRow(
-            sigma=s.real,
-            t=s.imag,
-            x=spec.x,
-            value=None,
-            reference=None,
-            abs_err=None,
-            rel_err=None,
-            flags=(f"error:{type(exc).__name__}",),
-        )
-    if spec.mode is ScanMode.REAL_AXIS:
-        abs_err = abs(ev.value.real - ev.reference.real)
+    """The corrected product at s and truncation table.limit, compared with
+    ``variant.reference(s)``.
+
+    The product is evaluated at EXPERIMENT_ORDER.  ``mode`` picks the error:
+    REAL_AXIS compares real parts, VERTICAL_LINE moduli, and None the
+    complex values.  Evaluation failures raise.
+    """
+    ev = corrected_product(s, table, variant, cut, order=EXPERIMENT_ORDER)
+    reference = variant.reference(ev.s)
+    if mode is ScanMode.REAL_AXIS:
+        abs_err = abs(ev.value.real - reference.real)
+    elif mode is ScanMode.VERTICAL_LINE:
+        abs_err = abs(abs(ev.value) - abs(reference))
     else:
-        abs_err = abs(abs(ev.value) - abs(ev.reference))
-    rel_err = abs_err / abs(ev.reference)
+        abs_err = abs(ev.value - reference)
     return ScanRow(
-        sigma=s.real,
-        t=s.imag,
-        x=spec.x,
+        sigma=ev.s.real,
+        t=ev.s.imag,
+        x=ev.x,
         value=ev.value,
-        reference=ev.reference,
+        reference=reference,
         abs_err=abs_err,
-        rel_err=rel_err,
+        rel_err=abs_err / abs(reference),
         flags=ev.flags,
     )
 
 
-def scan(
-    spec: ScanSpec, table: PrimeTable, ref_cfg: ZetaRefConfig = DEFAULT_CONFIG
-) -> list[ScanRow]:
+def scan(spec: ScanSpec, table: PrimeTable) -> list[ScanRow]:
     """Evaluate the corrected product over the spec's grid, in grid order.
 
     ``table`` must have been sieved to exactly spec.x.  Per-point failures
@@ -186,7 +206,14 @@ def scan(
         raise DomainError(
             f"table sieved to {table.limit} but the scan requests x = {spec.x}"
         )
-    return [_row_for_point(s, spec, table, ref_cfg) for s in spec.grid()]
+    rows = []
+    for s in spec.grid():
+        try:
+            rows.append(evaluate(s, table, spec.variant, spec.cut, spec.mode))
+        except EulerProductError as exc:
+            flag = f"error:{type(exc).__name__}"
+            rows.append(ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,)))
+    return rows
 
 
 def fit_decay_slope(
@@ -205,14 +232,14 @@ def error_decay(
     variant: ProductVariant = ProductVariant.ZETA,
     table: Optional[PrimeTable] = None,
     cut: BranchSide = BranchSide.FROM_ABOVE,
-    ref_cfg: ZetaRefConfig = DEFAULT_CONFIG,
 ) -> DecayFit:
     """Measure |value - reference| across truncations and fit the decay rate.
 
-    The grid must be ascending with at least 4 points spanning at least two
-    decades.  One table is sieved to max(x_grid) (or taken from ``table``)
-    and masked downwards per point; each x is evaluated once.  Errors below
-    the double-precision noise floor are dropped from the fit; fewer than 4
+    The grid must be ascending with at least 4 points, start at 2 or more
+    (so log x > 0) and span at least two decades.  One table is sieved to
+    max(x_grid) (or taken from ``table``) and masked downwards per point;
+    each x is evaluated once, by ``evaluate``.  Errors below the
+    double-precision noise floor are dropped from the fit; fewer than 4
     survivors raise InsufficientDataError.
     """
     s = complex(s)
@@ -223,24 +250,21 @@ def error_decay(
         raise ValueError(f"x grid needs at least 4 points, got {len(x_grid)}")
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
         raise ValueError("x grid must be strictly ascending")
+    if x_grid[0] < 2:
+        raise ValueError(f"x grid must start at 2 or more, got {x_grid[0]}")
     if x_grid[-1] < 100 * x_grid[0]:
         raise ValueError("x grid must span at least two decades")
     if table is None:
         table = sieve(x_grid[-1])
-    evaluations = tuple(
-        corrected_product(
-            s, table.truncate(x), variant, cut, ref_cfg=ref_cfg, order=EXPERIMENT_ORDER
-        )
-        for x in x_grid
-    )
-    surviving = [ev for ev in evaluations if ev.abs_error >= ERROR_NOISE_FLOOR]
+    rows = tuple(evaluate(s, table.truncate(x), variant, cut) for x in x_grid)
+    surviving = [row for row in rows if row.abs_err >= ERROR_NOISE_FLOOR]
     if len(surviving) < 4:
         raise InsufficientDataError(
             f"only {len(surviving)} decay points above the noise floor "
             f"{ERROR_NOISE_FLOOR}; need at least 4"
         )
-    surviving_x = tuple(ev.x for ev in surviving)
-    surviving_err = tuple(ev.abs_error for ev in surviving)
+    surviving_x = tuple(row.x for row in surviving)
+    surviving_err = tuple(row.abs_err for row in surviving)
     slope, intercept = fit_decay_slope(surviving_x, surviving_err)
     return DecayFit(
         sigma=s.real,
@@ -248,5 +272,5 @@ def error_decay(
         errors=surviving_err,
         slope=slope,
         intercept=intercept,
-        evaluations=evaluations,
+        rows=rows,
     )

@@ -46,20 +46,28 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .errors import EulerProductError, SingularFactorError, SingularityError
 from .primes import PrimeTable
 from .specfun import EULER_GAMMA, BranchSide, e1
-from .zetaref import ZetaRefConfig, zeta_ref
+from .zetaref import zeta_ref
 
 
 class ProductVariant(Enum):
     ZETA = "zeta"
     INVERSE_ZETA = "inverse-zeta"
     RATIO_ZETA2S_OVER_ZETA = "ratio"
+
+    def reference(self, s: complex) -> complex:
+        """What this product approximates at s: zeta(s), 1/zeta(s) or
+        zeta(2s)/zeta(s), from the independent reference eulerprod.zetaref."""
+        if self is ProductVariant.ZETA:
+            return zeta_ref(s)
+        if self is ProductVariant.INVERSE_ZETA:
+            return 1.0 / zeta_ref(s)
+        return zeta_ref(2 * s) / zeta_ref(s)
 
 
 # (coefficient, sign) per variant: the log sum is coeff * sum log(1 + sign*p^-s).
@@ -98,13 +106,13 @@ _CASCADE_STOP = 128
 class Evaluation:
     """One corrected-product evaluation at a point s with truncation x.
 
-    ``value`` equals exp(log_raw_product + correction) to rounding, and
-    ``abs_error`` is |value - reference| whenever a reference was computed.
-    ``outside_domain`` marks points with Re(s) <= 1/2 (computed anyway but
-    unsupported); ``on_cut`` marks points whose E1 argument lay on the
-    branch cut, i.e. real s left of 1.  ``order`` is the correction order
-    that was asked for; outside 1/2 < Re(s) < 1 both orders give the same
-    value.
+    ``value`` equals exp(log_raw_product + correction) to rounding.  It
+    carries no reference: eulerprod.experiments.evaluate compares it with
+    ``variant.reference(s)``.  ``outside_domain`` marks points with
+    Re(s) <= 1/2 (computed anyway but unsupported); ``on_cut`` marks points
+    whose E1 argument lay on the branch cut, i.e. real s left of 1.
+    ``order`` is the correction order that was asked for; outside
+    1/2 < Re(s) < 1 both orders give the same value.
     """
 
     s: complex
@@ -113,8 +121,6 @@ class Evaluation:
     log_raw_product: complex
     correction: complex
     value: complex
-    reference: Optional[complex] = None
-    abs_error: Optional[float] = None
     outside_domain: bool = False
     on_cut: bool = False
     order: int = 1
@@ -187,20 +193,11 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     return coeff * complex(re, im)
 
 
-def _reference(s: complex, variant: ProductVariant, cfg: ZetaRefConfig) -> complex:
-    if variant is ProductVariant.ZETA:
-        return zeta_ref(s, cfg)
-    if variant is ProductVariant.INVERSE_ZETA:
-        return 1.0 / zeta_ref(s, cfg)
-    return zeta_ref(2 * s, cfg) / zeta_ref(s, cfg)
-
-
 def corrected_product(
     s: complex,
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
     cut: BranchSide = BranchSide.FROM_ABOVE,
-    ref_cfg: Optional[ZetaRefConfig] = None,
     order: int = 1,
 ) -> Evaluation:
     """Truncated Euler product at s with its exponential-integral correction.
@@ -210,9 +207,6 @@ def corrected_product(
     singularity of E1 at 0.  Points with Re(s) <= 1/2 are evaluated anyway
     but flagged (and warned about once): the correction is only justified to
     the right of the critical line.
-
-    When ``ref_cfg`` is given, the matching reference value (zeta(s),
-    1/zeta(s) or zeta(2s)/zeta(s)) and the absolute error are filled in.
 
     ``order`` 1 is the paper's correction.  ``order`` 2 adds the
     prime-square term (module docstring) where 1/2 < Re(s) < 1 and returns
@@ -257,11 +251,6 @@ def corrected_product(
             f"corrected product overflows double precision at s = {s}, "
             f"x = {table.limit}"
         ) from None
-    reference = None
-    abs_error = None
-    if ref_cfg is not None:
-        reference = _reference(s, variant, ref_cfg)
-        abs_error = abs(value - reference)
     return Evaluation(
         s=s,
         x=table.limit,
@@ -269,8 +258,6 @@ def corrected_product(
         log_raw_product=log_raw,
         correction=correction,
         value=value,
-        reference=reference,
-        abs_error=abs_error,
         outside_domain=outside,
         on_cut=e1_result.on_cut,
         order=order,

@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, SingularityError
+from .errors import ConvergenceError, DomainError, EulerProductError, SingularityError
 
 #: Euler-Mascheroni constant to full double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -126,10 +126,25 @@ def e1(z: complex, cut: BranchSide = BranchSide.FROM_ABOVE) -> E1Result:
     there, so it stays stable at any modulus; the term cap is widened
     accordingly) with the principal log supplying the FromAbove value and
     conjugation supplying FromBelow.
+
+    Raises DomainError for a non-finite z, and EulerProductError where
+    |E1(z)| leaves double range (about Re z < -709.78 near the cut).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"E1 needs a finite argument, got {z}")
     if z == 0:
         raise SingularityError("E1 has a logarithmic singularity at z = 0")
+    try:
+        result = _e1_dispatch(z, cut)
+        if cmath.isfinite(result.value):
+            return result
+    except OverflowError:
+        pass
+    raise EulerProductError(f"E1 overflows double precision at z = {z}")
+
+
+def _e1_dispatch(z: complex, cut: BranchSide) -> E1Result:
     on_cut = z.imag == 0.0 and z.real < 0.0
     if on_cut:
         # Canonicalise the imaginary part to +0.0 so the principal log picks

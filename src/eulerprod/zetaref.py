@@ -74,7 +74,7 @@ def _eta_series(s: complex, weights: tuple[float, ...]) -> complex:
 
 
 def zeta_ref(s: complex, cfg: ZetaRefConfig = DEFAULT_CONFIG) -> complex:
-    """zeta(s) for Re(s) > 0, s away from 1 by at least cfg.pole_guard.
+    """zeta(s) for finite s with Re(s) > 0, at least cfg.pole_guard from 1.
 
     At the removable numerical singularities s = 1 + 2 pi i k / ln 2 (k != 0),
     where the eta factor vanishes but zeta itself is finite, the value is
@@ -83,6 +83,8 @@ def zeta_ref(s: complex, cfg: ZetaRefConfig = DEFAULT_CONFIG) -> complex:
     is good to ~1e-4.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta_ref needs a finite argument, got {s}")
     if s.real <= 0:
         raise DomainError(f"zeta_ref requires Re(s) > 0, got {s}")
     if abs(s - 1.0) < cfg.pole_guard:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from eulerprod import cli, experiments
+from eulerprod import experiments
 from eulerprod.cli import CSV_HEADER, main
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
@@ -119,7 +119,6 @@ def test_decay_evaluates_each_x_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "corrected_product", counting)
-    monkeypatch.setattr(cli, "corrected_product", counting)
     x_grid = [100, 1000, 10000, 100000]
     code, out, _ = run_cli(capsys, "decay", "--sigma", "0.75", "--t", "5",
                            "--x-grid", ",".join(map(str, x_grid)))
@@ -139,11 +138,17 @@ def test_usage_error_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "x_grid, message",
-    [(",", "at least 4 points"), ("1000,100,10,1000000000", "strictly ascending")],
+    [
+        (",", "at least 4 points"),
+        ("1000,100,10,1000000000", "strictly ascending"),
+        ("1,10,100,1000", "start at 2"),
+        ("0,10,100,1000", "start at 2"),
+    ],
 )
 def test_decay_grid_is_checked_before_sieving(capsys, x_grid, message):
     # A bad grid is a usage error, found before anything is sieved: the
-    # second grid's largest entry, 10^9, is more than the sieve accepts.
+    # second grid's largest entry, 10^9, is more than the sieve accepts,
+    # and log x must be positive for every x.
     code, out, err = run_cli(capsys, "decay", "--sigma", "0.75", "--x-grid", x_grid)
     assert code == 2
     assert out == ""
@@ -178,6 +183,28 @@ def test_numerical_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "eval", "--sigma", "1", "--t", "0")
     assert code == 1
     assert "error" in err
+
+
+def test_too_large_grid_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "scan-real", "--s-min", "1.1", "--s-max", "2",
+                             "--step", "1e-320")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "MAX_GRID_POINTS" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sigma < 1/2, p^-s overflow
+def test_e1_overflow_is_an_error_not_a_traceback(capsys):
+    # At sigma = -800, x = 1000 the E1 argument has real part -5533.
+    code, out, err = run_cli(capsys, "eval", "--sigma", "-800", "--t", "5",
+                             "--x", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("eulerprod: error:") and "overflows" in err
+    code, out, _ = run_cli(capsys, "scan-line", "--sigma", "-800", "--t-max", "1",
+                           "--step", "1", "--x", "1000")
+    assert code == 0
+    assert [r["flags"] for r in parse_rows(out)] == ["error:EulerProductError"] * 2
 
 
 def test_scan_serializes_error_rows(capsys):

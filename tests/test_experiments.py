@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from eulerprod import (
-    DEFAULT_CONFIG,
     DomainError,
     InsufficientDataError,
+    ProductVariant,
     ScanMode,
     ScanSpec,
     corrected_product,
     error_decay,
+    evaluate,
     fit_decay_slope,
     scan,
+    zeta_ref,
 )
+from eulerprod.experiments import MAX_GRID_POINTS
 
 
 def real_axis_spec(**kwargs):
@@ -73,6 +76,18 @@ def test_spec_rejects_non_finite_numbers(field, value):
         make(**{field: value})
 
 
+def test_spec_rejects_grids_over_the_limit():
+    # Only specs are made here: no grid of this size is ever built.
+    line_spec(t_min=0.0, t_max=MAX_GRID_POINTS - 1.0, step=1.0)  # at the limit
+    for spec in (
+        lambda: line_spec(t_min=0.0, t_max=float(MAX_GRID_POINTS), step=1.0),
+        lambda: real_axis_spec(s_min=1.1, s_max=2.0, step=1e-12),
+        lambda: real_axis_spec(s_min=1.1, s_max=2.0, step=1e-320),  # inf points
+    ):
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            spec()
+
+
 def test_scan_rejects_mismatched_table(table_1e3):
     with pytest.raises(DomainError):
         scan(real_axis_spec(x=100), table_1e3)
@@ -87,11 +102,16 @@ def test_scan_rows_are_deterministic(table_1e2):
 
 
 def test_scan_row_error_metrics(table_1e3):
-    # Real-axis rows compare real parts; vertical rows compare moduli.
+    # Real-axis rows compare real parts; vertical rows compare moduli;
+    # evaluate without a mode compares the complex values.
     row = scan(real_axis_spec(x=1000, s_min=2.0, s_max=2.0), table_1e3)[0]
     assert row.abs_err == abs(row.value.real - row.reference.real)
     row = scan(line_spec(x=1000, t_min=3.0, t_max=3.0), table_1e3)[0]
     assert row.abs_err == abs(abs(row.value) - abs(row.reference))
+    assert row.rel_err == row.abs_err / abs(row.reference)
+    row = evaluate(0.8 + 3.0j, table_1e3)
+    assert row.reference == zeta_ref(0.8 + 3.0j)
+    assert row.abs_err == abs(row.value - row.reference)
     assert row.rel_err == row.abs_err / abs(row.reference)
 
 
@@ -120,7 +140,7 @@ def test_scan_rows_use_order_two(table_1e3):
     spec = line_spec(x=1000, sigma=0.7, t_min=0.0, t_max=2.0)
     for row in scan(spec, table_1e3):
         s = complex(row.sigma, row.t)
-        ev = corrected_product(s, table_1e3, ref_cfg=DEFAULT_CONFIG, order=2)
+        ev = corrected_product(s, table_1e3, order=2)
         assert row.value == ev.value
 
 
@@ -132,8 +152,9 @@ def test_scan_prime_square_term_only_on_the_strip(table_1e3):
     rows = scan(spec, table_1e3)
     assert len(rows) == len(spec.grid())
     for row in rows:
-        paper = corrected_product(row.sigma, table_1e3, ref_cfg=DEFAULT_CONFIG)
-        paper_rel = abs(paper.value.real - paper.reference.real) / abs(paper.reference)
+        paper = corrected_product(row.sigma, table_1e3)
+        reference = ProductVariant.ZETA.reference(row.sigma)
+        paper_rel = abs(paper.value.real - reference.real) / abs(reference)
         if row.sigma < 1.0:
             assert row.rel_err < paper_rel
         else:
@@ -189,7 +210,7 @@ def test_error_decay_uses_order_two(table_1e5):
     s = 0.75 + 5.0j
     fit = error_decay(s, grid, table=table_1e5)
     expected = [
-        corrected_product(s, table_1e5.truncate(x), ref_cfg=DEFAULT_CONFIG, order=2).abs_error
+        abs(corrected_product(s, table_1e5.truncate(x), order=2).value - zeta_ref(s))
         for x in grid
     ]
     assert list(fit.errors) == expected
@@ -197,16 +218,16 @@ def test_error_decay_uses_order_two(table_1e5):
 
 def test_error_decay_carries_one_evaluation_per_x(table_1e5):
     # At s = 3 + 5i the error at x = 10^5 (6e-15) is below the noise floor:
-    # the fit drops it, the evaluations keep it.
+    # the fit drops it, the rows keep it.
     grid = [10, 10**2, 10**3, 10**4, 10**5]
     s = 3.0 + 5.0j
     fit = error_decay(s, grid, table=table_1e5)
     assert list(fit.x_grid) == grid[:4]
-    assert [ev.x for ev in fit.evaluations] == grid
-    for x, ev in zip(grid, fit.evaluations):
-        assert ev == corrected_product(
-            s, table_1e5.truncate(x), ref_cfg=DEFAULT_CONFIG, order=2
-        )
+    assert [row.x for row in fit.rows] == grid
+    for x, row in zip(grid, fit.rows):
+        ev = corrected_product(s, table_1e5.truncate(x), order=2)
+        assert row == evaluate(s, table_1e5.truncate(x))
+        assert (row.value, row.flags) == (ev.value, ev.flags)
 
 
 def test_error_decay_real_axis_sigma_15(table_1e6):

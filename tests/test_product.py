@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from eulerprod import product
 from eulerprod import (
     EULER_GAMMA,
+    DomainError,
     ProductVariant,
     SingularFactorError,
     SingularityError,
     ZetaRefConfig,
     corrected_product,
+    e1,
     log_raw_product,
     mertens_ratio,
     prime_zeta_truncated,
@@ -187,15 +189,15 @@ def test_blocked_log_raw_equals_one_fsum(table_1e4, table_1e6, monkeypatch, bloc
 
 
 def test_corrected_zeta_at_two(table_1e4):
-    ev = corrected_product(2.0 + 0.0j, table_1e4, ZETA, ref_cfg=REF)
+    ev = corrected_product(2.0 + 0.0j, table_1e4, ZETA)
     assert abs(ev.value - 1.6449340668482264) < 1e-3
-    assert ev.abs_error < 1e-3
+    assert abs(ev.value - ZETA.reference(2.0)) < 1e-3
     assert not ev.outside_domain and not ev.on_cut
 
 
 def test_corrected_ratio_at_two(table_1e4):
     # zeta(4)/zeta(2) = pi^2/15.
-    ev = corrected_product(2.0 + 0.0j, table_1e4, RATIO, ref_cfg=REF)
+    ev = corrected_product(2.0 + 0.0j, table_1e4, RATIO)
     assert abs(ev.value - math.pi**2 / 15.0) < 1e-3
 
 
@@ -277,17 +279,37 @@ def test_monotone_improvement(table_1e3, table_1e5):
     # The absolute error shrinks with x everywhere on this grid.
     for sigma in np.linspace(0.55, 1.0, 10):
         s = complex(sigma, 5.0)
-        coarse = corrected_product(s, table_1e3, ZETA, ref_cfg=REF).abs_error
-        fine = corrected_product(s, table_1e5, ZETA, ref_cfg=REF).abs_error
+        coarse = abs(corrected_product(s, table_1e3, ZETA).value - zeta_ref(s))
+        fine = abs(corrected_product(s, table_1e5, ZETA).value - zeta_ref(s))
         assert fine < coarse, f"no improvement at sigma={sigma}"
 
 
 def test_reference_per_variant(table_1e3):
     s = 1.4 + 7.0j
-    assert corrected_product(s, table_1e3, ZETA, ref_cfg=REF).reference == zeta_ref(s, REF)
-    assert corrected_product(s, table_1e3, INVERSE, ref_cfg=REF).reference == 1.0 / zeta_ref(s, REF)
-    expected = zeta_ref(2 * s, REF) / zeta_ref(s, REF)
-    assert corrected_product(s, table_1e3, RATIO, ref_cfg=REF).reference == expected
+    assert ZETA.reference(s) == zeta_ref(s, REF)
+    assert INVERSE.reference(s) == 1.0 / zeta_ref(s, REF)
+    assert RATIO.reference(s) == zeta_ref(2 * s, REF) / zeta_ref(s, REF)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf * log p
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: corrected_product(complex(math.nan), table),
+        lambda table: corrected_product(complex(1.5, math.inf), table),
+        lambda table: prime_zeta_truncated(math.nan, table),
+        lambda table: zeta_ref(math.nan),
+        lambda table: zeta_ref(complex(2.0, math.inf)),
+        lambda table: e1(complex(-math.inf, 0.0)),
+    ],
+    ids=["product-nan", "product-inf-t", "prime-zeta-nan", "zeta-ref-nan",
+         "zeta-ref-inf-t", "e1-minus-inf"],
+)
+def test_non_finite_arguments_are_domain_errors(call, table_1e3):
+    # Refused up front, not after 10^4 continued-fraction iterations or
+    # as a nan reference.
+    with pytest.raises(DomainError, match="finite argument"):
+        call(table_1e3)
 
 
 # ------------------------------------------------- second correction order
@@ -301,8 +323,8 @@ def test_order_two_is_order_one_outside_the_strip(table_1e3):
         warnings.simplefilter("ignore", RuntimeWarning)  # Re(s) <= 1/2 warns
         for variant in ProductVariant:
             for s in points:
-                first = corrected_product(s, table_1e3, variant, ref_cfg=REF)
-                second = corrected_product(s, table_1e3, variant, ref_cfg=REF, order=2)
+                first = corrected_product(s, table_1e3, variant)
+                second = corrected_product(s, table_1e3, variant, order=2)
                 assert (first.order, second.order) == (1, 2)
                 assert replace(second, order=1) == first
 

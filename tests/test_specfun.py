@@ -10,6 +10,7 @@ from eulerprod import (
     BranchSide,
     ConvergenceError,
     E1Method,
+    EulerProductError,
     SingularityError,
     e1,
     e1_continued_fraction,
@@ -165,6 +166,20 @@ def test_singularity_at_zero():
     for fn in (lambda: e1(0.0), lambda: e1_series(0.0), lambda: e1_continued_fraction(0.0)):
         with pytest.raises(SingularityError):
             fn()
+
+
+@pytest.mark.parametrize("z", [-712 + 1j, -720 + 0j, -800 + 0j])
+def test_overflow_is_named(z):
+    # Off the cut exp(-z) overflows in the continued fraction; on the cut
+    # the series runs to inf - inf.  Both are one named error.
+    with pytest.raises(EulerProductError, match="overflows double precision"):
+        e1(z)
+
+
+def test_largest_values_are_unchanged():
+    # Just inside double range e1 returns what its methods give.
+    assert e1(-700 + 1j).value == e1_continued_fraction(-700 + 1j)
+    assert cmath.isfinite(e1(-709 + 0j).value)
 
 
 def test_continued_fraction_fails_hugging_the_cut():
