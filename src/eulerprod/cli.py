@@ -7,10 +7,11 @@ uniform:
     sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags
 
 Values carry 17 significant digits (exact double round-trip), lines end in
-LF, and identical invocations produce byte-identical output.  Inapplicable
-cells are left empty.  The ``flags`` cell joins markers with ';':
-``outside-domain`` and ``on-cut`` qualify a value, ``error:<Type>`` marks a
-grid point whose evaluation failed.
+LF, and identical invocations produce byte-identical output on the same
+machine and numpy build (real-axis values use numpy's SIMD exp, see
+eulerprod.product).  Inapplicable cells are left empty.  The ``flags``
+cell joins markers with ';': ``outside-domain`` and ``on-cut`` qualify a
+value, ``error:<Type>`` marks a grid point whose evaluation failed.
 
 Every product value comes from eulerprod.experiments.evaluate, at
 correction order 2: the paper's E1 factor plus the prime-square term on
@@ -71,6 +72,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _truncation(text: str) -> int:
+    """argparse type for --x: an integer of at least 2, so p <= x has a prime
+    and log x > 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, variant=True, cut=True) -> None:
     if variant:
         parser.add_argument(
@@ -102,14 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the corrected product at one point")
     p.add_argument("--sigma", type=_finite_float, required=True, help="real part of s")
     p.add_argument("--t", type=_finite_float, default=0.0, help="imaginary part of s")
-    p.add_argument("--x", type=int, default=1000, help="truncation limit (primes <= x)")
+    p.add_argument(
+        "--x", type=_truncation, default=1000, help="truncation limit (primes <= x)"
+    )
     _add_common(p)
 
     p = sub.add_parser("scan-real", help="scan real s between s-min and s-max")
     p.add_argument("--s-min", type=_finite_float, required=True)
     p.add_argument("--s-max", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
-    p.add_argument("--x", type=int, default=1000)
+    p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p)
 
     p = sub.add_parser("scan-line", help="scan up the vertical line Re(s) = sigma")
@@ -117,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite_float, default=0.0, help="start of the t range")
     p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
-    p.add_argument("--x", type=int, default=1000)
+    p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p)
 
     p = sub.add_parser("mertens", help="ratio of the s = 1 product to e^gamma log x")
-    p.add_argument("--x", type=int, default=1000)
+    p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p, variant=False, cut=False)
 
     p = sub.add_parser("decay", help="fit the error-decay exponent across truncations")

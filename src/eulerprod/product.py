@@ -37,6 +37,16 @@ left over and the last level's columns of every block.
 The result is within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of
 n terms; it equals one math.fsum over all terms unless that sum lies within
 about n 2^-104 sum |term| of a rounding boundary.
+
+Each term log(1 + u), with u = +-p^-s = a + ib, is made as
+log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
+is real and in (0, 1], so _prime_powers makes it with a real exp, the sums
+take the single real row log1p(2a + a^2)/2, and the imaginary part is
+exactly 0.  Every other s takes the complex formula.  numpy's real exp
+(SIMD) and the real part of its complex exp can differ in the last bit, so
+a real-axis log sum may differ from the complex formula's by up to 2 ulp
+(measured on 900 points at x = 10^4 and 10^6).  Both are equally close to a
+30-digit mpmath sum: within 1.6 * 2^-53 sum |term| at x = 10^4.
 """
 
 from __future__ import annotations
@@ -144,18 +154,33 @@ def _prime_sums(count: int, terms) -> list[float]:
     sum per row (module docstring); no terms sum to 0.
     """
     partials = []
-    for start in range(0, max(count, 1), _BLOCK_TERMS):
-        level = terms(slice(start, start + _BLOCK_TERMS))
-        while level.shape[1] > _CASCADE_STOP:
-            half, odd = divmod(level.shape[1], 2)
-            if odd:
-                partials.append(level[:, -1:])
-            a, b = level[:, :half], level[:, half : 2 * half]
-            level = a + b
-            t = level - a
-            partials.append(((a - (level - t)) + (b - t)).sum(axis=1, keepdims=True))
-        partials.append(level)
+    # Far left of the half-plane p^-s overflows; the inf and nan it makes
+    # reach the caller as an error, not as numpy warnings on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, max(count, 1), _BLOCK_TERMS):
+            level = terms(slice(start, start + _BLOCK_TERMS))
+            while level.shape[1] > _CASCADE_STOP:
+                half, odd = divmod(level.shape[1], 2)
+                if odd:
+                    partials.append(level[:, -1:])
+                a, b = level[:, :half], level[:, half : 2 * half]
+                level = a + b
+                t = level - a
+                errors = (a - (level - t)) + (b - t)
+                partials.append(errors.sum(axis=1, keepdims=True))
+            partials.append(level)
     return [math.fsum(row) for row in np.concatenate(partials, axis=1).tolist()]
+
+
+def _prime_powers(s: complex, log_primes: np.ndarray) -> np.ndarray:
+    """p^-s for the primes whose logs are ``log_primes``.
+
+    A real s > 0 gives a float array from a real exp; every other s gives a
+    complex array.  This is the one place that picks the real path.
+    """
+    if s.imag == 0.0 and s.real > 0.0:
+        return np.exp(-s.real * log_primes)
+    return np.exp(-s * log_primes)
 
 
 def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> complex:
@@ -166,31 +191,38 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     Ratio:       -sum log(1 + p^-s)
 
     Raises SingularFactorError if some factor vanishes at s (possible only
-    outside the supported half-plane, e.g. p^s = 1 at s = 0).
+    outside the supported half-plane, e.g. p^s = 1 at s = 0, or where p^-s
+    rounds to 1, as 2^-s does at s = 1e-18).
     """
     s = complex(s)
     coeff, sign = _SHAPE[variant]
 
-    def terms(block):
-        w = np.exp(-s * table.log_primes[block])
-        a = sign * w.real
-        b = sign * w.imag
-        one_plus_a = 1.0 + a
-        dead = (one_plus_a == 0.0) & (b == 0.0)
+    def check(block, dead):
         if dead.any():
             p = int(table.primes[block][int(np.argmax(dead))])
             raise SingularFactorError(
                 f"Euler factor vanishes at prime {p} for s = {s}", prime=p
             )
-        # log(1 + u) for u = sign * p^-s, written so the real part goes
-        # through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
-        # im = arg(1+u).
+
+    def terms(block):
+        w = _prime_powers(s, table.log_primes[block])
+        # log(1 + u) for u = sign * p^-s = a + ib, written so the real part
+        # goes through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
+        # im = arg(1+u).  Real p^-s has b = 0 and 1 + a > 0 unless it is 0.
+        if not np.iscomplexobj(w):
+            a = sign * w
+            check(block, 1.0 + a == 0.0)
+            return (0.5 * np.log1p(2.0 * a + a * a))[np.newaxis]
+        a = sign * w.real
+        b = sign * w.imag
+        one_plus_a = 1.0 + a
+        check(block, (one_plus_a == 0.0) & (b == 0.0))
         return np.array(
             (0.5 * np.log1p(2.0 * a + a * a + b * b), np.arctan2(b, one_plus_a))
         )
 
-    re, im = _prime_sums(table.count, terms)
-    return coeff * complex(re, im)
+    # One row (real p^-s) gives complex(re), whose imaginary part is +0.0.
+    return coeff * complex(*_prime_sums(table.count, terms))
 
 
 def corrected_product(
@@ -281,8 +313,8 @@ def prime_zeta_truncated(
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
 
     def terms(block):
-        w = np.exp(-s * table.log_primes[block])
-        return np.array((w.real, w.imag))
+        w = _prime_powers(s, table.log_primes[block])
+        return np.array((w.real, w.imag)) if np.iscomplexobj(w) else w[np.newaxis]
 
     head = complex(*_prime_sums(table.count, terms))
     z = (s - 1.0) * math.log(table.limit)

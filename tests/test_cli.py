@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,28 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     assert "must be a finite number" in captured.err
 
 
+@pytest.mark.parametrize("x", ["-5", "0", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sigma", "2"],
+        ["scan-real", "--s-min", "1.5", "--s-max", "2", "--step", "0.5"],
+        ["scan-line", "--sigma", "0.8", "--t-max", "1", "--step", "1"],
+        ["mertens"],
+    ],
+    ids=["eval", "scan-real", "scan-line", "mertens"],
+)
+def test_truncation_below_two_is_a_usage_error(capsys, argv, x):
+    # Below x = 2 there is no prime and log x <= 0: every subcommand
+    # refuses it while parsing, as decay refuses such a grid.
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--x", x])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 2" in captured.err
+
+
 def test_numerical_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "eval", "--sigma", "1", "--t", "0")
     assert code == 1
@@ -193,7 +219,7 @@ def test_too_large_grid_is_a_usage_error(capsys):
     assert "usage error" in err and "MAX_GRID_POINTS" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sigma < 1/2, p^-s overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sigma < 1/2 is flagged
 def test_e1_overflow_is_an_error_not_a_traceback(capsys):
     # At sigma = -800, x = 1000 the E1 argument has real part -5533.
     code, out, err = run_cli(capsys, "eval", "--sigma", "-800", "--t", "5",
@@ -205,6 +231,24 @@ def test_e1_overflow_is_an_error_not_a_traceback(capsys):
                            "--step", "1", "--x", "1000")
     assert code == 0
     assert [r["flags"] for r in parse_rows(out)] == ["error:EulerProductError"] * 2
+
+
+def test_overflowing_terms_print_no_numpy_warnings():
+    # At sigma = -800 every p^-s overflows.  The product's inf and nan
+    # reach the user only as the one error line, not as numpy warnings.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulerprod.cli", "eval", "--sigma", "-800", "--t", "5",
+         "--x", "1000"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert sum(line.startswith("eulerprod: error:") for line in lines) == 1
+    assert "encountered in" not in proc.stderr
 
 
 def test_scan_serializes_error_rows(capsys):

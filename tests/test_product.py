@@ -37,14 +37,36 @@ RATIO = ProductVariant.RATIO_ZETA2S_OVER_ZETA
 SHAPES = {ZETA: (-1.0, -1.0), INVERSE: (1.0, -1.0), RATIO: (-1.0, 1.0)}
 
 
-def fsum_log_raw(s, table, variant):
-    """log_raw_product's terms, each part summed by one math.fsum."""
+def fsum_log_raw(s, table, variant, real_exp=True):
+    """log_raw_product's terms, each part summed by one math.fsum.
+
+    Like the kernel, real s > 0 makes p^-s with a real exp and has no
+    imaginary terms.  ``real_exp=False`` makes every p^-s with the complex
+    exp, the formula for all other s.
+    """
     coeff, sign = SHAPES[variant]
-    w = np.exp(-complex(s) * table.log_primes)
+    s = complex(s)
+    if real_exp and s.imag == 0.0 and s.real > 0.0:
+        a = sign * np.exp(-s.real * table.log_primes)
+        re = 0.5 * np.log1p(2.0 * a + a * a)
+        return coeff * complex(math.fsum(re.tolist()))
+    w = np.exp(-s * table.log_primes)
     a, b = sign * w.real, sign * w.imag
     re = 0.5 * np.log1p(2.0 * a + a * a + b * b)
     im = np.arctan2(b, 1.0 + a)
     return coeff * complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
+def mpmath_log_raw(s, table, variant):
+    """coeff * sum log(1 + sign p^-s) over the table, to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    coeff, sign = SHAPES[variant]
+    with mpmath.workdps(30):
+        exact = coeff * mpmath.fsum(
+            mpmath.log(1 + sign * mpmath.mpf(int(p)) ** -mpmath.mpc(s))
+            for p in table.primes
+        )
+        return complex(exact)
 
 
 # ---------------------------------------------------------------- log_raw
@@ -75,10 +97,12 @@ def test_log_raw_exact_negation(table_1e4):
 
 
 def test_log_raw_singular_factor():
+    # At s = 1e-18, 2^-s rounds to 1: the real path finds the factor too.
     table = sieve(10)
-    with pytest.raises(SingularFactorError) as info:
-        log_raw_product(0.0 + 0.0j, table, ZETA)
-    assert info.value.prime == 2
+    for s in (0.0 + 0.0j, 1e-18):
+        with pytest.raises(SingularFactorError) as info:
+            log_raw_product(s, table, ZETA)
+        assert info.value.prime == 2
 
 
 def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
@@ -86,27 +110,52 @@ def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
     # 176.  Every block passes its partials on unrounded to one final fsum,
     # so the two agree (bit for bit in test_blocked_log_raw_equals_one_fsum).
     # Against mpmath the bound covers the rounding of each term.
-    mpmath = pytest.importorskip("mpmath")
     points = (2.0 + 0.0j, 0.8 + 17.0j, 0.55 - 3.0j, 1.3 + 42.0j)
     one_block = {
         (s, v): log_raw_product(s, table_1e4, v) for s in points for v in ProductVariant
     }
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    signs = {ZETA: (-1, -1), INVERSE: (1, -1), RATIO: (-1, 1)}
     for s in points:
-        for variant, (coeff, sign) in signs.items():
+        for variant in ProductVariant:
             blocked = log_raw_product(s, table_1e4, variant)
             assert abs(blocked - one_block[s, variant]) < 1e-14
-            with mpmath.workdps(30):
-                exact = coeff * mpmath.fsum(
-                    mpmath.log(1 + sign * mpmath.mpf(int(p)) ** -mpmath.mpc(s))
-                    for p in table_1e4.primes
-                )
-                exact = complex(exact)
-            assert abs(blocked - exact) < 1e-13
+            assert abs(blocked - mpmath_log_raw(s, table_1e4, variant)) < 1e-13
     with pytest.raises(SingularFactorError) as info:
         log_raw_product(0.0 + 0.0j, table_1e4, ZETA)
     assert info.value.prime == 2
+
+
+@pytest.mark.parametrize("s", [0.55, 0.8, 1.3, 2.0, 3.5])
+def test_real_log_raw_matches_mpmath(table_1e4, s):
+    # Real s > 0 takes the real-exp path.  Its error against a 30-digit sum
+    # is bounded by the rounding of each term (measured at most 1.5 units
+    # of 2^-53 sum|term|, the complex formula 1.6).  All terms of one
+    # variant share a sign, so |sum| is sum|term|.
+    for variant in ProductVariant:
+        value = log_raw_product(s, table_1e4, variant)
+        magnitude = abs(fsum_log_raw(s, table_1e4, variant).real)
+        assert value.imag == 0.0
+        assert abs(value.real - mpmath_log_raw(s, table_1e4, variant).real) <= (
+            4 * 2.0**-53 * magnitude
+        )
+
+
+def test_real_path_matches_complex_formula(table_1e4):
+    # Real s > 0, including (0, 1/2], gives the complex formula's sum to a
+    # few ulp (numpy's real exp and the real part of its complex exp may
+    # differ in the last bit), and exactly its imaginary part, sign too.
+    # Real s < 0 stays on the complex formula bit for bit: there
+    # 1 - p^-s < 0, so each zeta-shaped factor's log has imaginary part pi.
+    for s in np.linspace(0.025, 3.5, 140):
+        for variant in ProductVariant:
+            value = log_raw_product(s, table_1e4, variant)
+            formula = fsum_log_raw(s, table_1e4, variant, real_exp=False)
+            assert abs(value.real - formula.real) <= 4 * math.ulp(formula.real)
+            assert repr(value.imag) == repr(formula.imag)
+    for s in (-1.0, -0.5, -0.25):
+        for variant in ProductVariant:
+            formula = fsum_log_raw(s, table_1e4, variant, real_exp=False)
+            assert log_raw_product(s, table_1e4, variant) == formula
 
 
 def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
@@ -291,7 +340,6 @@ def test_reference_per_variant(table_1e3):
     assert RATIO.reference(s) == zeta_ref(2 * s, REF) / zeta_ref(s, REF)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf * log p
 @pytest.mark.parametrize(
     "call",
     [
