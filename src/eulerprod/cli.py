@@ -25,9 +25,9 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import EulerProductError
+from .errors import EulerProductError, ResourceLimitError
 from .experiments import ScanMode, ScanRow, ScanSpec, error_decay, evaluate, scan
-from .primes import sieve
+from .primes import DEFAULT_MAX_LIMIT, sieve
 from .product import ProductVariant, mertens_ratio
 from .specfun import BranchSide, e1
 
@@ -74,13 +74,17 @@ def _finite_float(text: str) -> float:
 
 def _truncation(text: str) -> int:
     """argparse type for --x: an integer of at least 2, so p <= x has a prime
-    and log x > 0."""
+    and log x > 0, and at most the sieve's DEFAULT_MAX_LIMIT."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
+    if value > DEFAULT_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {DEFAULT_MAX_LIMIT}, got {text!r}"
+        )
     return value
 
 
@@ -201,7 +205,14 @@ def _run_decay(args) -> list[ScanRow]:
     except ValueError:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
     s = complex(args.sigma, args.t)
-    fit = error_decay(s, x_grid, _VARIANTS[args.variant], cut=_CUTS[args.cut])
+    try:
+        fit = error_decay(s, x_grid, _VARIANTS[args.variant], cut=_CUTS[args.cut])
+    except ResourceLimitError:
+        # error_decay checks the grid's shape first, then sieves to its
+        # largest entry, which refuses a limit above the cap before any work.
+        raise ValueError(
+            f"--x-grid entries must be at most {DEFAULT_MAX_LIMIT}, got {x_grid[-1]}"
+        ) from None
     print(
         f"decay fit: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
         f"target={0.5 - args.sigma:.6f} points={len(fit.x_grid)}",

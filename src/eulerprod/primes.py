@@ -7,16 +7,22 @@ evaluation; scans evaluate thousands of points against a single table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest sieve limit accepted by default.  At this size the odd-only mask
-#: takes 50 MB and the returned tables 92 MB; the mask is freed before the
-#: log table is made, so the sieve peaks near 96 MB.
+#: Largest sieve limit accepted by default.  At this size the returned
+#: tables take 92 MB and the sieve peaks about 2 MB above them: its 1 MB
+#: segment buffer and one segment's prime indices.  No mask of the whole
+#: range is ever allocated.
 DEFAULT_MAX_LIMIT = 10**8
+
+#: Odd entries struck per segment of the sieve: 1 MB of bool, which stays in
+#: a 2 MiB L2 cache.  sieve(10**8) took 0.21-0.24 s with it on a 2-vCPU Linux
+#: VM, 0.24-0.31 s with 2^19 entries and 0.24-0.26 s with 2^21.
+_SEGMENT = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +58,18 @@ class PrimeTable:
 
 
 def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including ``limit``.
+    """Segmented sieve of Eratosthenes up to and including ``limit``.
 
-    The mask covers odd numbers only: entry i stands for 2i + 1, which
+    The sieve covers odd numbers only: entry i stands for 2i + 1, which
     halves its size and skips the strikes of even multiples.  Entry 0 (the
-    number 1) is read as the prime 2.
+    number 1) is read as the prime 2.  A small odd mask first gives the
+    base primes up to sqrt(limit).  The entries are then struck
+    _SEGMENT at a time in one reused buffer, so the strikes stay in cache
+    (Bays & Hudson, BIT 17, 1977); each base prime carries its next index
+    from one segment to the next.  Each segment's primes are written
+    straight into one int64 array sized by pi(x) < 1.25506 x / log x for
+    x > 1 (Rosser & Schoenfeld 1962), which is then sliced to the count;
+    its never-written pages never become resident.
 
     Raises ResourceLimitError when ``limit`` exceeds ``max_limit`` and
     DomainError for negative limits.
@@ -70,15 +83,34 @@ def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
     if limit < 2:
         primes = np.empty(0, dtype=np.int64)
     else:
-        mask = np.ones((limit + 1) // 2, dtype=bool)
-        for i in range(1, (isqrt(limit) - 1) // 2 + 1):
-            if mask[i]:
+        root = isqrt(limit)
+        base_mask = np.ones((root + 1) // 2, dtype=bool)
+        for i in range(1, (isqrt(root) - 1) // 2 + 1):
+            if base_mask[i]:
                 p = 2 * i + 1
-                mask[p * p // 2 :: p] = False
-        primes = np.flatnonzero(mask)
-        del mask
-        primes *= 2
-        primes += 1
+                base_mask[p * p // 2 :: p] = False
+        base = (2 * np.flatnonzero(base_mask[1:]) + 3).tolist()
+        next_index = [p * p // 2 for p in base]
+        size = (limit + 1) // 2
+        out = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int64)
+        buffer = np.empty(min(_SEGMENT, size), dtype=bool)
+        count = 0
+        for lo in range(0, size, _SEGMENT):
+            hi = min(lo + _SEGMENT, size)
+            segment = buffer[: hi - lo]
+            segment[:] = True
+            for j, p in enumerate(base):
+                i = next_index[j]
+                if i < hi:
+                    segment[i - lo :: p] = False
+                    # The first index of p's progression at or past hi.
+                    next_index[j] = i + (hi - i + p - 1) // p * p
+            found = np.flatnonzero(segment)
+            chunk = out[count : count + found.size]
+            np.multiply(found, 2, out=chunk)
+            chunk += 2 * lo + 1
+            count += found.size
+        primes = out[:count]
         primes[0] = 2
     log_primes = np.log(primes, dtype=np.float64)
     primes.setflags(write=False)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from eulerprod import experiments
-from eulerprod.cli import CSV_HEADER, main
+from eulerprod.cli import CSV_HEADER, _truncation, main
+from eulerprod.primes import DEFAULT_MAX_LIMIT
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
 
@@ -203,6 +204,35 @@ def test_truncation_below_two_is_a_usage_error(capsys, argv, x):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sigma", "2", "--x", "1000000000"],
+        ["scan-real", "--s-min", "1.5", "--s-max", "2", "--step", "0.5", "--x", "100000001"],
+        ["scan-line", "--sigma", "0.8", "--t-max", "1", "--step", "1", "--x", "100000001"],
+        ["mertens", "--x", "100000001"],
+        ["decay", "--sigma", "0.75", "--x-grid", "10000,100000,1000000,1000000000"],
+    ],
+    ids=["eval", "scan-real", "scan-line", "mertens", "decay"],
+)
+def test_truncation_above_the_sieve_cap_is_a_usage_error(capsys, argv):
+    # The library refuses such an x with ResourceLimitError, a numerical
+    # error; on the command line it is a bad flag, like x below 2, and it is
+    # refused before anything is sieved.
+    try:
+        code = main(argv)
+    except SystemExit as info:
+        code = info.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"must be at most {DEFAULT_MAX_LIMIT}" in captured.err
+
+
+def test_truncation_accepts_the_sieve_cap():
+    assert _truncation(str(DEFAULT_MAX_LIMIT)) == DEFAULT_MAX_LIMIT
 
 
 def test_numerical_error_exit_1(capsys):

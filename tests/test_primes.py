@@ -1,7 +1,9 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from eulerprod import DomainError, ResourceLimitError, prime_pi, sieve
+from eulerprod import DomainError, ResourceLimitError, prime_pi, primes, sieve
 
 
 def trial_division_count(limit: int) -> int:
@@ -22,6 +24,23 @@ def is_prime_trial(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def whole_mask_primes(limit: int) -> np.ndarray:
+    """The unsegmented odd-only sieve: one mask over every odd number up to
+    ``limit``, entry i standing for 2i + 1 and entry 0 read as 2."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(limit) - 1) // 2 + 1):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = False
+    found = np.flatnonzero(mask)
+    found *= 2
+    found += 1
+    found[0] = 2
+    return found
 
 
 def test_sieve_ten():
@@ -132,3 +151,22 @@ def test_tables_are_int64_float64_read_only_and_bit_exact(table_1e6):
 
 def test_log_primes_cached(table_1e3):
     assert np.allclose(table_1e3.log_primes, np.log(table_1e3.primes.astype(float)))
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 64])
+def test_segments_match_the_whole_mask_at_every_small_limit(monkeypatch, segment):
+    # Segments this small put a boundary between almost any two entries,
+    # and base primes larger than a segment skip whole segments.
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    for limit in range(3001):
+        table = sieve(limit)
+        assert table.primes.dtype == np.int64
+        assert np.array_equal(table.primes, whole_mask_primes(limit)), limit
+
+
+def test_default_segments_match_the_whole_mask_at_1e7():
+    # 5 * 10^6 odd entries make five segments of the default size.
+    table = sieve(10**7)
+    assert (10**7 + 1) // 2 > 4 * primes._SEGMENT
+    assert table.count == 664579
+    assert table.primes.tobytes() == whole_mask_primes(10**7).tobytes()

@@ -183,9 +183,11 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
     [0.6, 0.8, 1.2, 2.0, 3.5, 0.55 + 0.5j, 0.55 + 14.134725j, 0.55 - 40.0j, 0.55 + 100.0j],
 )
 def test_log_raw_equals_one_fsum_at_1e6(table_1e6, s):
-    # 78498 primes: the cascade is not correctly rounded by construction,
-    # but it misses fsum's bits only within ~n 2^-104 sum|term| of a
-    # rounding boundary.
+    # 78498 primes make 5 blocks at the shipped block size, so this checks
+    # the default multi-block path.  The cascade is not correctly rounded by
+    # construction, but it misses fsum's bits only within ~n 2^-104
+    # sum|term| of a rounding boundary.
+    assert table_1e6.count > product._BLOCK_TERMS
     for variant in ProductVariant:
         assert log_raw_product(s, table_1e6, variant) == fsum_log_raw(s, table_1e6, variant)
 
