@@ -47,7 +47,7 @@ from .specfun import (
     e1_continued_fraction,
     e1_series,
 )
-from .zetaref import DEFAULT_CONFIG, ZetaRefConfig, zeta_ref
+from .zetaref import zeta_ref
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "BranchSide",
     "ConvergenceError",
     "DecayFit",
-    "DEFAULT_CONFIG",
     "DomainError",
     "E1Method",
     "E1Result",
@@ -73,7 +72,6 @@ __all__ = [
     "SERIES_CUTOFF",
     "SingularFactorError",
     "SingularityError",
-    "ZetaRefConfig",
     "corrected_product",
     "e1",
     "e1_continued_fraction",

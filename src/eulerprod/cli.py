@@ -25,7 +25,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import EulerProductError, ResourceLimitError
+from .errors import DomainError, EulerProductError, ResourceLimitError
 from .experiments import ScanMode, ScanRow, ScanSpec, error_decay, evaluate, scan
 from .primes import DEFAULT_MAX_LIMIT, sieve
 from .product import ProductVariant, mertens_ratio
@@ -88,20 +88,13 @@ def _truncation(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, variant=True, cut=True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, variant=True) -> None:
     if variant:
         parser.add_argument(
             "--variant",
             choices=sorted(_VARIANTS),
             default=ProductVariant.ZETA.value,
             help="product shape: zeta, inverse-zeta or ratio (zeta(2s)/zeta(s))",
-        )
-    if cut:
-        parser.add_argument(
-            "--cut",
-            choices=sorted(_CUTS),
-            default="above",
-            help="side of the branch cut used for on-cut E1 arguments",
         )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -141,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mertens", help="ratio of the s = 1 product to e^gamma log x")
     p.add_argument("--x", type=_truncation, default=1000)
-    _add_common(p, variant=False, cut=False)
+    _add_common(p, variant=False)
 
     p = sub.add_parser("decay", help="fit the error-decay exponent across truncations")
     p.add_argument("--sigma", type=_finite_float, required=True)
@@ -156,6 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e1", help="evaluate the exponential integral E1 at one point")
     p.add_argument("--re", type=_finite_float, required=True)
     p.add_argument("--im", type=_finite_float, default=0.0)
+    # Only E1 itself takes a side of its cut: a product exponentiates E1, so
+    # the cut's 2 pi i jump cancels there.
+    p.add_argument(
+        "--cut",
+        choices=sorted(_CUTS),
+        default="above",
+        help="side of the branch cut used for on-cut E1 arguments",
+    )
     _add_common(p, variant=False)
 
     return parser
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_eval(args) -> list[ScanRow]:
     s = complex(args.sigma, args.t)
-    return [evaluate(s, sieve(args.x), _VARIANTS[args.variant], _CUTS[args.cut])]
+    return [evaluate(s, sieve(args.x), _VARIANTS[args.variant])]
 
 
 def _run_scan_real(args) -> list[ScanRow]:
@@ -172,7 +173,6 @@ def _run_scan_real(args) -> list[ScanRow]:
         x=args.x,
         step=args.step,
         variant=_VARIANTS[args.variant],
-        cut=_CUTS[args.cut],
         s_min=args.s_min,
         s_max=args.s_max,
     )
@@ -185,7 +185,6 @@ def _run_scan_line(args) -> list[ScanRow]:
         x=args.x,
         step=args.step,
         variant=_VARIANTS[args.variant],
-        cut=_CUTS[args.cut],
         sigma=args.sigma,
         t_min=args.t,
         t_max=args.t_max,
@@ -206,7 +205,10 @@ def _run_decay(args) -> list[ScanRow]:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
     s = complex(args.sigma, args.t)
     try:
-        fit = error_decay(s, x_grid, _VARIANTS[args.variant], cut=_CUTS[args.cut])
+        fit = error_decay(s, x_grid, _VARIANTS[args.variant])
+    except DomainError as exc:
+        # Re(s) <= 1/2, refused before any sieving like a bad grid.
+        raise ValueError(str(exc)) from None
     except ResourceLimitError:
         # error_decay checks the grid's shape first, then sieves to its
         # largest entry, which refuses a limit above the cap before any work.

@@ -10,7 +10,7 @@ class EulerProductError(Exception):
 
 
 class ResourceLimitError(EulerProductError):
-    """Requested sieve limit exceeds the configured maximum."""
+    """Requested sieve limit exceeds the sieve's maximum, DEFAULT_MAX_LIMIT."""
 
 
 class DomainError(EulerProductError):

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
 from .product import ProductVariant, corrected_product
-from .specfun import BranchSide
 
 #: Real-axis scans skip grid points closer than this to the pole at s = 1.
 POLE_GUARD = 0.05
@@ -52,13 +51,14 @@ class ScanSpec:
     sigma and sweeps t from t_min to t_max.  ``step`` must be positive and
     the range nonempty (equal endpoints give a single point).  Step, sigma
     and bounds must be finite, and the grid at most MAX_GRID_POINTS long.
+    A scan takes no side of E1's branch cut: no product depends on it (see
+    eulerprod.product.corrected_product).
     """
 
     mode: ScanMode
     x: int
     step: float
     variant: ProductVariant = ProductVariant.ZETA
-    cut: BranchSide = BranchSide.FROM_ABOVE
     sigma: Optional[float] = None
     s_min: Optional[float] = None
     s_max: Optional[float] = None
@@ -166,7 +166,6 @@ def evaluate(
     s: complex,
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
-    cut: BranchSide = BranchSide.FROM_ABOVE,
     mode: Optional[ScanMode] = None,
 ) -> ScanRow:
     """The corrected product at s and truncation table.limit, compared with
@@ -176,7 +175,7 @@ def evaluate(
     REAL_AXIS compares real parts, VERTICAL_LINE moduli, and None the
     complex values.  Evaluation failures raise.
     """
-    ev = corrected_product(s, table, variant, cut, order=EXPERIMENT_ORDER)
+    ev = corrected_product(s, table, variant, order=EXPERIMENT_ORDER)
     reference = variant.reference(ev.s)
     if mode is ScanMode.REAL_AXIS:
         abs_err = abs(ev.value.real - reference.real)
@@ -209,7 +208,7 @@ def scan(spec: ScanSpec, table: PrimeTable) -> list[ScanRow]:
     rows = []
     for s in spec.grid():
         try:
-            rows.append(evaluate(s, table, spec.variant, spec.cut, spec.mode))
+            rows.append(evaluate(s, table, spec.variant, spec.mode))
         except EulerProductError as exc:
             flag = f"error:{type(exc).__name__}"
             rows.append(ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,)))
@@ -231,7 +230,6 @@ def error_decay(
     x_grid: Sequence[int],
     variant: ProductVariant = ProductVariant.ZETA,
     table: Optional[PrimeTable] = None,
-    cut: BranchSide = BranchSide.FROM_ABOVE,
 ) -> DecayFit:
     """Measure |value - reference| across truncations and fit the decay rate.
 
@@ -240,7 +238,8 @@ def error_decay(
     max(x_grid) (or taken from ``table``) and masked downwards per point;
     each x is evaluated once, by ``evaluate``.  Errors below the
     double-precision noise floor are dropped from the fit; fewer than 4
-    survivors raise InsufficientDataError.
+    survivors raise InsufficientDataError.  Re(s) <= 1/2 raises DomainError
+    and a bad grid ValueError, both before anything is sieved.
     """
     s = complex(s)
     if s.real <= 0.5:
@@ -256,7 +255,7 @@ def error_decay(
         raise ValueError("x grid must span at least two decades")
     if table is None:
         table = sieve(x_grid[-1])
-    rows = tuple(evaluate(s, table.truncate(x), variant, cut) for x in x_grid)
+    rows = tuple(evaluate(s, table.truncate(x), variant) for x in x_grid)
     surviving = [row for row in rows if row.abs_err >= ERROR_NOISE_FLOOR]
     if len(surviving) < 4:
         raise InsufficientDataError(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest sieve limit accepted by default.  At this size the returned
+#: Largest sieve limit accepted.  At this size the returned
 #: tables take 92 MB and the sieve peaks about 2 MB above them: its 1 MB
 #: segment buffer and one segment's prime indices.  No mask of the whole
 #: range is ever allocated.
@@ -57,7 +57,7 @@ class PrimeTable:
         return PrimeTable(limit=limit, primes=self.primes[:n], log_primes=self.log_primes[:n])
 
 
-def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to and including ``limit``.
 
     The sieve covers odd numbers only: entry i stands for 2i + 1, which
@@ -71,14 +71,14 @@ def sieve(limit: int, *, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
     x > 1 (Rosser & Schoenfeld 1962), which is then sliced to the count;
     its never-written pages never become resident.
 
-    Raises ResourceLimitError when ``limit`` exceeds ``max_limit`` and
+    Raises ResourceLimitError when ``limit`` exceeds DEFAULT_MAX_LIMIT and
     DomainError for negative limits.
     """
     if limit < 0:
         raise DomainError(f"sieve limit must be nonnegative, got {limit}")
-    if limit > max_limit:
+    if limit > DEFAULT_MAX_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured maximum {max_limit}"
+            f"sieve limit {limit} exceeds the maximum {DEFAULT_MAX_LIMIT}"
         )
     if limit < 2:
         primes = np.empty(0, dtype=np.int64)

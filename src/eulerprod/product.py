@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -236,7 +235,6 @@ def corrected_product(
     s: complex,
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
-    cut: BranchSide = BranchSide.FROM_ABOVE,
     order: int = 1,
 ) -> Evaluation:
     """Truncated Euler product at s with its exponential-integral correction.
@@ -244,8 +242,12 @@ def corrected_product(
     s = 1 is a hard error: the zeta product has its pole and the inverse its
     zero exactly there, and the correction's argument (s-1) log x hits the
     singularity of E1 at 0.  Points with Re(s) <= 1/2 are evaluated anyway
-    but flagged (and warned about once): the correction is only justified to
-    the right of the critical line.
+    but flagged ``outside_domain``: the correction is only justified to the
+    right of the critical line.
+
+    The correction enters only through exp, where E1's jump of 2 pi i across
+    its cut cancels, so the side of the cut cannot change the product: on
+    the cut (real s < 1) E1 is taken from above.
 
     ``order`` 1 is the paper's correction.  ``order`` 2 adds the
     prime-square term (module docstring) where 1/2 < Re(s) < 1 and returns
@@ -266,17 +268,9 @@ def corrected_product(
             "s = 1 is excluded (pole of the zeta product, zero of its inverse); "
             "use mertens_ratio for the limiting behaviour at s = 1"
         )
-    outside = s.real <= 0.5
-    if outside:
-        warnings.warn(
-            f"corrected product evaluated at Re(s) = {s.real} <= 1/2, outside "
-            "the supported half-plane; result is flagged and unsupported",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     log_raw = log_raw_product(s, table, variant)
     log_x = math.log(table.limit) if table.limit >= 1 else 0.0
-    e1_result = e1((s - 1.0) * log_x, cut)  # raises SingularityError when x = 1
+    e1_result = e1((s - 1.0) * log_x)  # raises SingularityError when x = 1
     correction = _CORRECTION_SIGN[variant] * e1_result.value
     if order == 2 and 0.5 < s.real < 1.0:
         a, b = _PRIME_SQUARE_WEIGHTS[variant]
@@ -297,7 +291,7 @@ def corrected_product(
         log_raw_product=log_raw,
         correction=correction,
         value=value,
-        outside_domain=outside,
+        outside_domain=s.real <= 0.5,
         on_cut=e1_result.on_cut,
         order=order,
     )

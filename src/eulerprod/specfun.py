@@ -80,9 +80,7 @@ def e1_series(z: complex, *, max_terms: int = _SERIES_MAX_TERMS) -> complex:
     return total
 
 
-def e1_continued_fraction(
-    z: complex, *, tol: float = _CF_TOL, max_iter: int = _CF_MAX_ITER
-) -> complex:
+def e1_continued_fraction(z: complex) -> complex:
     """Continued-fraction evaluation of E1(z) for |z| above the cutoff.
 
     Modified Lentz iteration on exp(-z)/(z+1- 1^2/(z+3- 2^2/(z+5- ...))).
@@ -98,7 +96,7 @@ def e1_continued_fraction(
     c = 1.0 / _TINY
     d = 1.0 / b if b != 0 else complex(1.0 / _TINY)
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _CF_MAX_ITER + 1):
         a = -float(i) * float(i)
         b += 2.0
         d = a * d + b
@@ -110,10 +108,10 @@ def e1_continued_fraction(
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _CF_TOL:
             return cmath.exp(-z) * h
     raise ConvergenceError(
-        f"continued fraction for E1 did not converge within {max_iter} "
+        f"continued fraction for E1 did not converge within {_CF_MAX_ITER} "
         f"iterations at z = {z} (argument too close to the branch cut)"
     )
 

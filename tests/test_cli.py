@@ -141,6 +141,34 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sigma", ["0.5", "0.3"])
+def test_decay_left_of_the_strip_is_a_usage_error(capsys, sigma):
+    # Re(s) <= 1/2 is refused before sieving, like a bad grid: a bad flag,
+    # not a failed computation.
+    code, out, err = run_cli(capsys, "decay", "--sigma", sigma)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("eulerprod: usage error:") and "Re(s) > 1/2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sigma", "0.7"],
+        ["scan-real", "--s-min", "0.6", "--s-max", "0.7", "--step", "0.1"],
+        ["scan-line", "--sigma", "0.8", "--t-max", "1", "--step", "1"],
+        ["decay", "--sigma", "0.75"],
+    ],
+    ids=["eval", "scan-real", "scan-line", "decay"],
+)
+def test_products_take_no_branch_side(capsys, argv):
+    # exp(E1) is the same on both sides of the cut, so only e1 has --cut.
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--cut", "below"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "x_grid, message",
     [
@@ -249,7 +277,6 @@ def test_too_large_grid_is_a_usage_error(capsys):
     assert "usage error" in err and "MAX_GRID_POINTS" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # sigma < 1/2 is flagged
 def test_e1_overflow_is_an_error_not_a_traceback(capsys):
     # At sigma = -800, x = 1000 the E1 argument has real part -5533.
     code, out, err = run_cli(capsys, "eval", "--sigma", "-800", "--t", "5",
@@ -263,22 +290,37 @@ def test_e1_overflow_is_an_error_not_a_traceback(capsys):
     assert [r["flags"] for r in parse_rows(out)] == ["error:EulerProductError"] * 2
 
 
-def test_overflowing_terms_print_no_numpy_warnings():
-    # At sigma = -800 every p^-s overflows.  The product's inf and nan
-    # reach the user only as the one error line, not as numpy warnings.
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so stderr holds whatever Python prints."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eulerprod.cli", "eval", "--sigma", "-800", "--t", "5",
-         "--x", "1000"],
+    return subprocess.run(
+        [sys.executable, "-m", "eulerprod.cli", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_overflowing_terms_print_no_numpy_warnings():
+    # At sigma = -800 every p^-s overflows.  The product's inf and nan
+    # reach the user only as the one error line, not as numpy warnings.
+    proc = run_process("eval", "--sigma", "-800", "--t", "5", "--x", "1000")
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert sum(line.startswith("eulerprod: error:") for line in lines) == 1
     assert "encountered in" not in proc.stderr
+
+
+def test_outside_domain_rows_are_flagged_not_warned():
+    # Each row left of the strip carries its flag; nothing reaches stderr.
+    proc = run_process("scan-real", "--x", "100", "--s-min", "0.3", "--s-max", "0.5",
+                       "--step", "0.01")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = parse_rows(proc.stdout)
+    assert len(rows) == 21
+    assert all(row["flags"] == "outside-domain;on-cut" for row in rows)
 
 
 def test_scan_serializes_error_rows(capsys):

@@ -71,8 +71,9 @@ def test_sieve_million_count(table_1e6):
 
 
 def test_sieve_respects_limit_cap():
+    # Refused before anything is allocated.
     with pytest.raises(ResourceLimitError):
-        sieve(101, max_limit=100)
+        sieve(primes.DEFAULT_MAX_LIMIT + 1)
 
 
 def test_table_is_readonly(table_1e3):

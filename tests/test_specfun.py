@@ -138,6 +138,16 @@ def test_branch_below_is_conjugate():
     assert abs(below.value.imag - math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("r", [0.5, 4.0, 40.0])
+def test_e1_sides_give_one_product_factor(r):
+    # The two sides differ by 2 pi i, which exp cancels: a product, which
+    # only exponentiates E1, cannot depend on the side of the cut.
+    above = cmath.exp(e1(complex(-r, 0.0), BranchSide.FROM_ABOVE).value)
+    below = cmath.exp(e1(complex(-r, 0.0), BranchSide.FROM_BELOW).value)
+    assert below.real == above.real
+    assert below.imag == -above.imag
+
+
 def test_branch_ignores_signed_zero():
     assert e1(complex(-1.0, -0.0)).value == e1(complex(-1.0, 0.0)).value
 

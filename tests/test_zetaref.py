@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
-from eulerprod import DomainError, PoleProximityError, ZetaRefConfig, zeta_ref
+from eulerprod import DomainError, PoleProximityError, zeta_ref
 
 LN2 = math.log(2.0)
 
@@ -45,15 +46,15 @@ def test_real_axis_realness_and_sign():
             assert value.real > 0.0
 
 
-def test_depth_self_consistency():
-    base = ZetaRefConfig(terms=64)
-    deep = ZetaRefConfig(terms=128)
-    for sigma in (0.55, 0.8, 2.0):
-        for t in (0.0, 10.0, 50.0):
-            s = complex(sigma, t)
-            a = zeta_ref(s, base)
-            b = zeta_ref(s, deep)
-            assert abs(a - b) / abs(b) < 1e-12, f"depth drift at s={s}"
+def test_accuracy_against_mpmath():
+    # The fixed 64-term depth is accurate up to |t| = 50.
+    with mpmath.workdps(30):
+        for sigma in (0.55, 0.8, 2.0):
+            for t in (0.0, 10.0, 50.0):
+                s = complex(sigma, t)
+                exact = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+                value = zeta_ref(s)
+                assert abs(value - exact) / abs(exact) < 1e-12, f"error at s={s}"
 
 
 def test_eta_factor_zeros_stay_finite():
@@ -78,13 +79,6 @@ def test_domain_rejects_left_half_plane():
         zeta_ref(-1.0 + 0.0j)
     with pytest.raises(DomainError):
         zeta_ref(0.0 + 5.0j)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ZetaRefConfig(terms=8)
-    with pytest.raises(ValueError):
-        ZetaRefConfig(pole_guard=0.0)
 
 
 def test_conjugate_symmetry():
