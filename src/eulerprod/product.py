@@ -28,26 +28,31 @@ every factor has positive real part.  With ~78k terms at x = 10^6 a naive
 sum would lose about 3 digits and break the package's 1e-12 identity
 invariants, so every per-prime sum is an error-free cascade (Ogita, Rump &
 Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
-The terms are made in blocks of _BLOCK_TERMS primes, so a deep table never
-holds more than one block of temporaries, and those are small enough to
-stay in L2 and be reused by malloc.  Each block is halved level by level
-with TwoSum, which splits a + b exactly into the rounded sum and its error,
-until it is at most _CASCADE_STOP columns wide.  The errors of each
-level are summed, and math.fsum adds up those error sums, the odd columns
-left over and the last level's columns of every block.
+The terms are made in blocks of _BLOCK_TERMS primes.  Each sum allocates one
+work array, sized from one block and the number of quantities summed, and
+every block writes its p^-s, its terms, their intermediate values and every
+level of the cascade into views of it: no block allocates an array, and a
+deep table never holds more than one block of terms.  The terms lie one row
+per prime, so each half of a level is one contiguous slice.  Each block is
+halved level by level with TwoSum, which splits a + b exactly into the
+rounded sum and its error, until it is at most _CASCADE_STOP rows long.
+The errors of each level are summed per quantity, and math.fsum adds up
+those error sums, the odd rows left over and the last level's rows of every
+block.
 The result is within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of
 n terms; it equals one math.fsum over all terms unless that sum lies within
 about n 2^-104 sum |term| of a rounding boundary.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
-is real and in (0, 1], so _prime_powers makes it with a real exp, the sums
-take the single real row log1p(2a + a^2)/2, and the imaginary part is
-exactly 0.  Every other s takes the complex formula.  numpy's real exp
-(SIMD) and the real part of its complex exp can differ in the last bit, so
-a real-axis log sum may differ from the complex formula's by up to 2 ulp
-(measured on 900 points at x = 10^4 and 10^6).  Both are equally close to a
-30-digit mpmath sum: within 1.6 * 2^-53 sum |term| at x = 10^4.
+is real and in (0, 1], so _prime_powers makes it with a real exp, each term
+is log1p(u), made in place, and the imaginary part is exactly 0.  Every
+other s takes the complex formula.  Both formulas are equally close to a
+30-digit mpmath sum (within 1.9 * 2^-53 sum |term| at x = 10^4, 9 values of
+s from 0.51 to 5), but they round differently, and numpy's real exp and the
+real part of its complex exp can differ in the last bit, so a real-axis log
+sum may differ from the complex formula's by up to 2 ulp (measured on 540
+points at x = 10^4 and 10^6).
 """
 
 from __future__ import annotations
@@ -104,17 +109,18 @@ _PRIME_SQUARE_WEIGHTS = {
 }
 
 
-#: Primes per block of the per-prime sums (see the module docstring).  A
-#: block's real temporaries take 128 KiB and its complex ones 256 KiB: small
-#: enough for a 2 MiB L2 and for malloc to reuse rather than hand back to the
-#: system.  Measured on a 2-vCPU Linux VM, 280 real rows at x = 10^6 (five
-#: blocks) per fresh process: blocks of 2^17 took 530-540 minor page faults
-#: and 1.9-2.6 ms a row, blocks of 2^14 none and 1.1-2.1 ms.  Blocks of 2^13
-#: raised the peak memory of ``decay`` up to 10^8 by 4 MB.
+#: Primes per block of the per-prime sums (see the module docstring).  One
+#: call's work array then takes 256 KiB for a real sum and 640 KiB for a
+#: complex one, within a 2 MiB L2.  As no block allocates, the size no longer
+#: decides page faults: ``scan-real`` at x = 10^6 (280 rows) took about 680
+#: minor faults with blocks of 2^13 or 2^14 and 1,240 with 2^17 (2-vCPU
+#: Linux VM).  Smaller blocks keep more partials: ``decay`` up to 10^8
+#: peaked 2 MB higher with 2^13.  Another size hands math.fsum other
+#: partials, so a sum near a rounding boundary could move in its last bit.
 _BLOCK_TERMS = 1 << 14
 
-#: Width at which the cascade stops halving a block.  A level costs about
-#: ten numpy calls, more than math.fsum takes for this many columns.
+#: Length at which the cascade stops halving a block.  A level costs about
+#: ten numpy calls, more than math.fsum takes for this many rows.
 _CASCADE_STOP = 128
 
 
@@ -152,41 +158,73 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(count: int, terms) -> list[float]:
-    """Sums of ``count`` per-prime terms, made and summed one block at a time.
+def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
+    """Sums of ``count`` per-prime terms in ``rows`` quantities.
 
-    ``terms(block)`` returns a 2-D float array with one row per quantity and
-    one column per term of ``block``, a slice of range(count).  Returns one
-    sum per row (module docstring); no terms sum to 0.
+    ``terms(block, out, work)`` writes the terms of ``block``, a slice of
+    range(count), into ``out``: a C-contiguous float array with one row per
+    term of the block and one column per quantity.  ``work`` holds
+    ``scratch`` floats per term for its intermediate values.  Both are views
+    of the one array this call allocates, which every block reuses, cascade
+    levels included (module docstring).  Returns one sum per quantity; no
+    terms sum to 0.
     """
-    partials = []
+    if count == 0:
+        return [0.0] * rows
+    width = min(count, _BLOCK_TERMS)
+    half = width // 2
+    span = width * rows
+    work = np.empty(span + max(scratch * width, 2 * half * rows))
+    first = work[:span].reshape(width, rows)
+    # A level's sums and the t of its TwoSum go apart from the level, so no
+    # ufunc's output overlaps an input it does not equal.
+    second = work[span : span + half * rows].reshape(half, rows)
+    t_region = work[span + half * rows : span + 2 * half * rows].reshape(half, rows)
+    partials: list[list[float]] = [[] for _ in range(rows)]
     # Far left of the half-plane p^-s overflows; the inf and nan it makes
     # reach the caller as an error, not as numpy warnings on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, max(count, 1), _BLOCK_TERMS):
-            level = terms(slice(start, start + _BLOCK_TERMS))
-            while level.shape[1] > _CASCADE_STOP:
-                half, odd = divmod(level.shape[1], 2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, count, width):
+            n = min(width, count - start)
+            level, here, there = first[:n], first, second
+            terms(slice(start, start + n), level, work[span : span + scratch * n])
+            while n > _CASCADE_STOP:
+                n, odd = divmod(n, 2)
                 if odd:
-                    partials.append(level[:, -1:])
-                a, b = level[:, :half], level[:, half : 2 * half]
-                level = a + b
-                t = level - a
-                errors = (a - (level - t)) + (b - t)
-                partials.append(errors.sum(axis=1, keepdims=True))
-            partials.append(level)
-    return [math.fsum(row) for row in np.concatenate(partials, axis=1).tolist()]
+                    for row, value in zip(partials, level[-1].tolist()):
+                        row.append(value)
+                a, b, t = level[:n], level[n : 2 * n], t_region[:n]
+                level, here, there = there[:n], there, here
+                # TwoSum: level + (a - (level - t)) + (b - t) == a + b
+                # exactly, with t = level - a.  The errors overwrite a and b.
+                np.add(a, b, out=level)
+                np.subtract(level, a, out=t)
+                np.subtract(b, t, out=b)
+                np.subtract(level, t, out=t)
+                np.subtract(a, t, out=a)
+                np.add(a, b, out=a)
+                # Each quantity's errors lie in one column and are summed
+                # pairwise, as a contiguous row would be.
+                for q, row in enumerate(partials):
+                    row.append(np.add.reduce(a[:, q]))
+            for row, values in zip(partials, level.T.tolist()):
+                row.extend(values)
+    return [math.fsum(row) for row in partials]
 
 
-def _prime_powers(s: complex, log_primes: np.ndarray) -> np.ndarray:
-    """p^-s for the primes whose logs are ``log_primes``.
+def _is_real(s: complex) -> bool:
+    """Whether s takes the real path: real s > 0 makes every p^-s real."""
+    return s.imag == 0.0 and s.real > 0.0
 
-    A real s > 0 gives a float array from a real exp; every other s gives a
-    complex array.  This is the one place that picks the real path.
+
+def _prime_powers(s: complex, log_primes: np.ndarray, out: np.ndarray) -> None:
+    """Writes p^-s for the primes whose logs are ``log_primes`` into ``out``.
+
+    A float ``out`` takes a real exp (real s > 0), a complex one the complex
+    exp.
     """
-    if s.imag == 0.0 and s.real > 0.0:
-        return np.exp(-s.real * log_primes)
-    return np.exp(-s * log_primes)
+    np.multiply(-s.real if out.dtype.kind == "f" else -s, log_primes, out=out)
+    np.exp(out, out=out)
 
 
 def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> complex:
@@ -202,33 +240,58 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     """
     s = complex(s)
     coeff, sign = _SHAPE[variant]
+    real = _is_real(s)
 
-    def check(block, dead):
+    def check(block, re):
+        # A factor 1 + u that vanishes makes its real term log1p(-1) = -inf.
+        # Only then is the block looked at again to find the factor.
+        if np.fmin.reduce(re) != -np.inf:
+            return
+        if real:
+            dead = re == -np.inf
+        else:
+            w = np.exp(-s * table.log_primes[block])
+            dead = (1.0 + sign * w.real == 0.0) & (sign * w.imag == 0.0)
         if dead.any():
             p = int(table.primes[block][int(np.argmax(dead))])
             raise SingularFactorError(
                 f"Euler factor vanishes at prime {p} for s = {s}", prime=p
             )
 
-    def terms(block):
-        w = _prime_powers(s, table.log_primes[block])
+    def real_terms(block, out, work):
+        # log(1 + u) = log1p(u) for u = sign * p^-s, real and in [-1, 1].
+        re = out[:, 0]
+        _prime_powers(s, table.log_primes[block], re)
+        if sign < 0.0:
+            np.negative(re, out=re)
+        np.log1p(re, out=re)
+        check(block, re)
+
+    def complex_terms(block, out, work):
         # log(1 + u) for u = sign * p^-s = a + ib, written so the real part
         # goes through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
-        # im = arg(1+u).  Real p^-s has b = 0 and 1 + a > 0 unless it is 0.
-        if not np.iscomplexobj(w):
-            a = sign * w
-            check(block, 1.0 + a == 0.0)
-            return (0.5 * np.log1p(2.0 * a + a * a))[np.newaxis]
-        a = sign * w.real
-        b = sign * w.imag
-        one_plus_a = 1.0 + a
-        check(block, (one_plus_a == 0.0) & (b == 0.0))
-        return np.array(
-            (0.5 * np.log1p(2.0 * a + a * a + b * b), np.arctan2(b, one_plus_a))
-        )
+        # im = arg(1+u).  p^-s is made in ``out``, the rest in ``work``.
+        w = out.view(np.complex128)[:, 0]
+        _prime_powers(s, table.log_primes[block], w)
+        n = w.size
+        a, b, x = work[:n], work[n : 2 * n], work[2 * n :]
+        np.multiply(sign, w.real, out=a)
+        np.multiply(sign, w.imag, out=b)
+        np.add(1.0, a, out=x)
+        np.arctan2(b, x, out=out[:, 1])
+        np.multiply(2.0, a, out=x)
+        np.multiply(a, a, out=a)
+        np.add(x, a, out=x)
+        np.multiply(b, b, out=b)
+        np.add(x, b, out=x)
+        np.log1p(x, out=x)
+        check(block, x)
+        np.multiply(0.5, x, out=out[:, 0])
 
-    # One row (real p^-s) gives complex(re), whose imaginary part is +0.0.
-    return coeff * complex(*_prime_sums(table.count, terms))
+    if real:
+        # One row: complex(re) has imaginary part +0.0.
+        return coeff * complex(*_prime_sums(table.count, 1, real_terms))
+    return coeff * complex(*_prime_sums(table.count, 2, complex_terms, scratch=3))
 
 
 def corrected_product(
@@ -313,11 +376,14 @@ def prime_zeta_truncated(
     if table.count == 0 and table.limit < 1:
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
 
-    def terms(block):
-        w = _prime_powers(s, table.log_primes[block])
-        return np.array((w.real, w.imag)) if np.iscomplexobj(w) else w[np.newaxis]
+    real = _is_real(s)
 
-    head = complex(*_prime_sums(table.count, terms))
+    def terms(block, out, work):
+        # p^-s itself: one real column, or complex values filling both.
+        w = out[:, 0] if real else out.view(np.complex128)[:, 0]
+        _prime_powers(s, table.log_primes[block], w)
+
+    head = complex(*_prime_sums(table.count, 1 if real else 2, terms))
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z, cut).value  # raises SingularityError when x = 1
 
@@ -333,8 +399,11 @@ def mertens_ratio(table: PrimeTable) -> float:
             f"Mertens ratio needs at least one prime (limit >= 2), got {table.limit}"
         )
 
-    def terms(block):
-        return np.log1p(-1.0 / table.primes[block].astype(np.float64))[np.newaxis]
+    def terms(block, out, work):
+        row = out[:, 0]
+        row[...] = table.primes[block]
+        np.divide(-1.0, row, out=row)
+        np.log1p(row, out=row)
 
-    (log_sum,) = _prime_sums(table.count, terms)
+    (log_sum,) = _prime_sums(table.count, 1, terms)
     return math.exp(-log_sum - EULER_GAMMA - math.log(math.log(table.limit)))

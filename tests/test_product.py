@@ -36,21 +36,30 @@ SHAPES = {ZETA: (-1.0, -1.0), INVERSE: (1.0, -1.0), RATIO: (-1.0, 1.0)}
 def fsum_log_raw(s, table, variant, real_exp=True):
     """log_raw_product's terms, each part summed by one math.fsum.
 
-    Like the kernel, real s > 0 makes p^-s with a real exp and has no
-    imaginary terms.  ``real_exp=False`` makes every p^-s with the complex
-    exp, the formula for all other s.
+    Like the kernel, real s > 0 makes p^-s with a real exp, takes each term
+    as log1p(sign * p^-s) and has no imaginary terms.  ``real_exp=False``
+    makes every p^-s with the complex exp, the formula for all other s.
     """
     coeff, sign = SHAPES[variant]
     s = complex(s)
     if real_exp and s.imag == 0.0 and s.real > 0.0:
-        a = sign * np.exp(-s.real * table.log_primes)
-        re = 0.5 * np.log1p(2.0 * a + a * a)
+        re = np.log1p(sign * np.exp(-s.real * table.log_primes))
         return coeff * complex(math.fsum(re.tolist()))
     w = np.exp(-s * table.log_primes)
     a, b = sign * w.real, sign * w.imag
     re = 0.5 * np.log1p(2.0 * a + a * a + b * b)
     im = np.arctan2(b, 1.0 + a)
     return coeff * complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
+def writes(terms):
+    """A ``_prime_sums`` callback: ``terms`` has one row per quantity, and
+    each block's columns become the rows of ``out``."""
+
+    def fill(block, out, work):
+        out[...] = terms[:, block].T
+
+    return fill
 
 
 def mpmath_log_raw(s, table, variant):
@@ -123,10 +132,11 @@ def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
 
 @pytest.mark.parametrize("s", [0.55, 0.8, 1.3, 2.0, 3.5])
 def test_real_log_raw_matches_mpmath(table_1e4, s):
-    # Real s > 0 takes the real-exp path.  Its error against a 30-digit sum
-    # is bounded by the rounding of each term (measured at most 1.5 units
-    # of 2^-53 sum|term|, the complex formula 1.6).  All terms of one
-    # variant share a sign, so |sum| is sum|term|.
+    # Real s > 0 takes the real-exp path, one log1p(u) per term.  Its error
+    # against a 30-digit sum is bounded by the rounding of each term
+    # (measured at most 1.27 units of 2^-53 sum|term|, as for the complex
+    # formula).  All terms of one variant share a sign, so |sum| is
+    # sum|term|.
     for variant in ProductVariant:
         value = log_raw_product(s, table_1e4, variant)
         magnitude = abs(fsum_log_raw(s, table_1e4, variant).real)
@@ -139,7 +149,9 @@ def test_real_log_raw_matches_mpmath(table_1e4, s):
 def test_real_path_matches_complex_formula(table_1e4):
     # Real s > 0, including (0, 1/2], gives the complex formula's sum to a
     # few ulp (numpy's real exp and the real part of its complex exp may
-    # differ in the last bit), and exactly its imaginary part, sign too.
+    # differ in the last bit, and log1p(u) rounds otherwise than
+    # log1p(2a + a^2)/2; measured at most 1 ulp here), and exactly its
+    # imaginary part, sign too.
     # Real s < 0 stays on the complex formula bit for bit: there
     # 1 - p^-s < 0, so each zeta-shaped factor's log has imaginary part pi.
     for s in np.linspace(0.025, 3.5, 140):
@@ -174,6 +186,35 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
 # ------------------------------------------------------------ per-prime sums
 
 
+def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
+    # Blocks of 7 split the 1229 primes into 176.  Every block of one call
+    # writes its terms and their intermediate values into the same array.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    prime_sums = product._prime_sums
+    calls = []
+
+    def spy(count, rows, terms, scratch=0):
+        addresses = []
+
+        def recording(block, out, work):
+            addresses.append((out.ctypes.data, work.ctypes.data))
+            terms(block, out, work)
+
+        calls.append(addresses)
+        return prime_sums(count, rows, recording, scratch)
+
+    monkeypatch.setattr(product, "_prime_sums", spy)
+    log_raw_product(0.8, table_1e4, ZETA)
+    log_raw_product(0.8 + 17.0j, table_1e4, RATIO)
+    prime_zeta_truncated(0.7 + 9.0j, table_1e4)
+    prime_zeta_truncated(2.0, table_1e4)
+    mertens_ratio(table_1e4)
+    assert len(calls) == 5
+    for addresses in calls:
+        assert len(addresses) == 176
+        assert len(set(addresses)) == 1
+
+
 @pytest.mark.parametrize(
     "s",
     [0.6, 0.8, 1.2, 2.0, 3.5, 0.55 + 0.5j, 0.55 + 14.134725j, 0.55 - 40.0j, 0.55 + 100.0j],
@@ -194,7 +235,7 @@ def test_prime_sums_equal_fsum_at_every_width():
     rng = np.random.default_rng(2005)
     for width in range(301):
         terms = rng.standard_normal((2, width)) * np.exp(rng.uniform(-40, 40, (2, width)))
-        sums = product._prime_sums(width, lambda block: terms[:, block])
+        sums = product._prime_sums(width, 2, writes(terms))
         assert sums == [math.fsum(row) for row in terms.tolist()]
 
 
@@ -214,7 +255,7 @@ def test_prime_sums_error_bound(values, block_terms):
     # to even, 4 below the exact sum.
     terms = np.array([values], dtype=np.float64).reshape(1, len(values))
     with mock.patch.object(product, "_BLOCK_TERMS", block_terms):
-        (total,) = product._prime_sums(len(values), lambda block: terms[:, block])
+        (total,) = product._prime_sums(len(values), 1, writes(terms))
     exact = sum(map(Fraction, values), Fraction(0))
     magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
     bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
