@@ -26,22 +26,16 @@ Three product shapes are supported:
 Per-factor principal logs never wrap because |p^-s| < 1 for Re(s) > 0, so
 every factor has positive real part.  With ~78k terms at x = 10^6 a naive
 sum would lose about 3 digits and break the package's 1e-12 identity
-invariants, so every per-prime sum is an error-free cascade (Ogita, Rump &
-Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
-The terms are made in blocks of _BLOCK_TERMS primes.  Each sum allocates one
-work array, sized from one block and the number of quantities summed, and
-every block writes its p^-s, its terms, their intermediate values and every
-level of the cascade into views of it: no block allocates an array, and a
-deep table never holds more than one block of terms.  The terms lie one row
-per prime, so each half of a level is one contiguous slice.  Each block is
-halved level by level with TwoSum, which splits a + b exactly into the
-rounded sum and its error, until it is at most _CASCADE_STOP rows long.
-The errors of each level are summed per quantity, and math.fsum adds up
-those error sums, the odd rows left over and the last level's rows of every
-block.
-The result is within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of
-n terms; it equals one math.fsum over all terms unless that sum lies within
-about n 2^-104 sum |term| of a rounding boundary.
+invariants, so every per-prime sum splits its terms exactly by error-free
+extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
+faithful rounding", SIAM J. Sci. Comput. 31(1), 2008; see _prime_sums).
+The terms are made in blocks of _BLOCK_TERMS primes, one contiguous row per
+quantity.  Each sum allocates one work array, and every block writes its
+p^-s, its terms, their intermediate values and the extraction into views of
+it: no block allocates an array, and a deep table never holds more than one
+block of terms.  The result is within 2^-53 |sum| + n 2^-104 sum |term| of
+the exact sum of n terms; it equals one math.fsum over all terms unless that
+sum lies within about n 2^-104 sum |term| of a rounding boundary.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
@@ -61,10 +55,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import EulerProductError, SingularFactorError, SingularityError
+from .errors import DomainError, EulerProductError, SingularFactorError, SingularityError
 from .primes import PrimeTable
 from .specfun import EULER_GAMMA, BranchSide, e1
 from .zetaref import zeta_ref
@@ -109,19 +104,11 @@ _PRIME_SQUARE_WEIGHTS = {
 }
 
 
-#: Primes per block of the per-prime sums (see the module docstring).  One
-#: call's work array then takes 256 KiB for a real sum and 640 KiB for a
-#: complex one, within a 2 MiB L2.  As no block allocates, the size no longer
-#: decides page faults: ``scan-real`` at x = 10^6 (280 rows) took about 680
-#: minor faults with blocks of 2^13 or 2^14 and 1,240 with 2^17 (2-vCPU
-#: Linux VM).  Smaller blocks keep more partials: ``decay`` up to 10^8
-#: peaked 2 MB higher with 2^13.  Another size hands math.fsum other
-#: partials, so a sum near a rounding boundary could move in its last bit.
-_BLOCK_TERMS = 1 << 14
-
-#: Length at which the cascade stops halving a block.  A level costs about
-#: ten numpy calls, more than math.fsum takes for this many rows.
-_CASCADE_STOP = 128
+#: Primes per block of the per-prime sums: a call's work array takes 512 KiB
+#: (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU VM, 4 MiB
+#: L2), 2^15 made the fastest real and complex calls at x = 10^6 and real
+#: ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with 2^14.
+_BLOCK_TERMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,54 +149,64 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     """Sums of ``count`` per-prime terms in ``rows`` quantities.
 
     ``terms(block, out, work)`` writes the terms of ``block``, a slice of
-    range(count), into ``out``: a C-contiguous float array with one row per
-    term of the block and one column per quantity.  ``work`` holds
-    ``scratch`` floats per term for its intermediate values.  Both are views
-    of the one array this call allocates, which every block reuses, cascade
-    levels included (module docstring).  Returns one sum per quantity; no
-    terms sum to 0.
+    range(count), into ``out``, shape (rows, len(block)): one contiguous row
+    per quantity.  ``work`` holds ``scratch`` floats per term for its own
+    use; both are views of the one array this call allocates.  Returns one
+    sum per quantity; no terms sum to 0.
+
+    For n terms below 2^e and the least m with 2^m >= n + 2, sigma = 2^(m+e)
+    splits each x exactly into q = (x + sigma) - sigma, a multiple of
+    2^-53 sigma, and x - q.  The q add up to less than sigma, so
+    np.add.reduce sums them exactly; 2^(m-53) sigma splits the remainders
+    again.  Summing the n left over, each at most 2^(2m+e-106), in any order
+    errs by under n^2 2^(2m+e-159) < 8 n^2 (n+2)^2 2^-159 max|x|, below
+    n 2^-104 max|x| for n <= 2^17.  math.fsum adds the three sums of every
+    block, or the terms of a row whose largest is not finite or would
+    overflow sigma.
     """
-    if count == 0:
-        return [0.0] * rows
     width = min(count, _BLOCK_TERMS)
-    half = width // 2
-    span = width * rows
-    work = np.empty(span + max(scratch * width, 2 * half * rows))
-    first = work[:span].reshape(width, rows)
-    # A level's sums and the t of its TwoSum go apart from the level, so no
-    # ufunc's output overlaps an input it does not equal.
-    second = work[span : span + half * rows].reshape(half, rows)
-    t_region = work[span + half * rows : span + 2 * half * rows].reshape(half, rows)
-    partials: list[list[float]] = [[] for _ in range(rows)]
+    span = rows * width
+    work = np.empty(span + max(rows, scratch) * width)
+    sums = [np.zeros(rows)]  # per block and level, one sum per quantity
+    loose: list[list[float]] = [[] for _ in range(rows)]
     # Far left of the half-plane p^-s overflows; the inf and nan it makes
-    # reach the caller as an error, not as numpy warnings on stderr.
+    # reach the caller as a value or an error, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, count, width):
-            n = min(width, count - start)
-            level, here, there = first[:n], first, second
-            terms(slice(start, start + n), level, work[span : span + scratch * n])
-            while n > _CASCADE_STOP:
-                n, odd = divmod(n, 2)
-                if odd:
-                    for row, value in zip(partials, level[-1].tolist()):
-                        row.append(value)
-                a, b, t = level[:n], level[n : 2 * n], t_region[:n]
-                level, here, there = there[:n], there, here
-                # TwoSum: level + (a - (level - t)) + (b - t) == a + b
-                # exactly, with t = level - a.  The errors overwrite a and b.
-                np.add(a, b, out=level)
-                np.subtract(level, a, out=t)
-                np.subtract(b, t, out=b)
-                np.subtract(level, t, out=t)
-                np.subtract(a, t, out=a)
-                np.add(a, b, out=a)
-                # Each quantity's errors lie in one column and are summed
-                # pairwise, as a contiguous row would be.
-                for q, row in enumerate(partials):
-                    row.append(np.add.reduce(a[:, q]))
-            for row, values in zip(partials, level.T.tolist()):
-                row.extend(values)
-    return [math.fsum(row) for row in partials]
+        for start in range(0, count, _BLOCK_TERMS):
+            n = min(_BLOCK_TERMS, count - start)
+            x = work[: rows * n].reshape(rows, n)
+            q = work[span : span + rows * n].reshape(rows, n)
+            terms(slice(start, start + n), x, work[span : span + scratch * n])
+            m = (n + 1).bit_length()
+            tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
+            sigmas = []
+            for row, values, top in zip(loose, x, tops):
+                e = m + math.frexp(top)[1]
+                if not (math.isfinite(top) and e <= 1023):
+                    row.extend(values.tolist())  # fsum takes these terms,
+                    values[...] = 0.0  # and any finite sigma leaves them 0
+                sigmas.append(math.ldexp(1.0, min(e, 1023)))
+            scale = 2.0 ** (m - 53)
+            for sigma in np.array([sigmas, [v * scale for v in sigmas]])[:, :, None]:
+                np.add(x, sigma, out=q)
+                np.subtract(q, sigma, out=q)
+                np.subtract(x, q, out=x)
+                sums.append(np.add.reduce(q, axis=1))
+            sums.append(np.add.reduce(x, axis=1))
+    return [_fsum(row + more) for row, more in zip(np.transpose(sums).tolist(), loose)]
+
+
+def _fsum(values: list[float]) -> float:
+    """math.fsum, but +-inf where the sum overflows and nan where it holds
+    both infinities, not an exception."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        special = [v for v in values if not math.isfinite(v)]
+        exact = sum(special) if special else sum(map(Fraction, values), Fraction(0))
+    if special or abs(exact) < 2**1024 - 2**970:  # inf, nan, or rounds to finite
+        return float(exact)
+    return math.inf if exact > 0 else -math.inf
 
 
 def _is_real(s: complex) -> bool:
@@ -242,56 +239,52 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     coeff, sign = _SHAPE[variant]
     real = _is_real(s)
 
-    def check(block, re):
-        # A factor 1 + u that vanishes makes its real term log1p(-1) = -inf.
-        # Only then is the block looked at again to find the factor.
-        if np.fmin.reduce(re) != -np.inf:
-            return
-        if real:
-            dead = re == -np.inf
-        else:
-            w = np.exp(-s * table.log_primes[block])
-            dead = (1.0 + sign * w.real == 0.0) & (sign * w.imag == 0.0)
-        if dead.any():
-            p = int(table.primes[block][int(np.argmax(dead))])
-            raise SingularFactorError(
-                f"Euler factor vanishes at prime {p} for s = {s}", prime=p
-            )
-
     def real_terms(block, out, work):
         # log(1 + u) = log1p(u) for u = sign * p^-s, real and in [-1, 1].
-        re = out[:, 0]
+        re = out[0]
         _prime_powers(s, table.log_primes[block], re)
         if sign < 0.0:
             np.negative(re, out=re)
         np.log1p(re, out=re)
-        check(block, re)
 
     def complex_terms(block, out, work):
         # log(1 + u) for u = sign * p^-s = a + ib, written so the real part
         # goes through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
-        # im = arg(1+u).  p^-s is made in ``out``, the rest in ``work``.
-        w = out.view(np.complex128)[:, 0]
+        # im = arg(1+u).  p^-s is made in ``work``, x over its spent real parts.
+        n = out.shape[1]
+        w = work[: 2 * n].view(np.complex128)
         _prime_powers(s, table.log_primes[block], w)
-        n = w.size
-        a, b, x = work[:n], work[n : 2 * n], work[2 * n :]
+        a, b, x = work[2 * n :], out[0], work[:n]
         np.multiply(sign, w.real, out=a)
         np.multiply(sign, w.imag, out=b)
         np.add(1.0, a, out=x)
-        np.arctan2(b, x, out=out[:, 1])
+        np.arctan2(b, x, out=out[1])
         np.multiply(2.0, a, out=x)
         np.multiply(a, a, out=a)
         np.add(x, a, out=x)
         np.multiply(b, b, out=b)
         np.add(x, b, out=x)
         np.log1p(x, out=x)
-        check(block, x)
-        np.multiply(0.5, x, out=out[:, 0])
+        np.multiply(0.5, x, out=out[0])
 
     if real:
-        # One row: complex(re) has imaginary part +0.0.
-        return coeff * complex(*_prime_sums(table.count, 1, real_terms))
-    return coeff * complex(*_prime_sums(table.count, 2, complex_terms, scratch=3))
+        sums = _prime_sums(table.count, 1, real_terms)
+    else:
+        sums = _prime_sums(table.count, 2, complex_terms, scratch=3)
+    if sums[0] == -math.inf:
+        # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, table.count, _BLOCK_TERMS):
+                block = slice(start, start + _BLOCK_TERMS)
+                w = np.exp(-(s.real if real else s) * table.log_primes[block])
+                dead = np.flatnonzero((1.0 + sign * w.real == 0.0) & (w.imag == 0.0))
+                if dead.size:
+                    p = int(table.primes[block][dead[0]])
+                    raise SingularFactorError(
+                        f"Euler factor vanishes at prime {p} for s = {s}", prime=p
+                    )
+    # One real row: complex(re) has imaginary part +0.0.
+    return coeff * complex(*sums)
 
 
 def corrected_product(
@@ -371,19 +364,27 @@ def prime_zeta_truncated(
     rejected.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"prime zeta needs a finite argument, got {s}")
     if s == 1:
         raise SingularityError("prime zeta has a branch point at s = 1")
     if table.count == 0 and table.limit < 1:
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
 
-    real = _is_real(s)
+    rows = 1 if _is_real(s) else 2
 
     def terms(block, out, work):
-        # p^-s itself: one real column, or complex values filling both.
-        w = out[:, 0] if real else out.view(np.complex128)[:, 0]
+        # p^-s: one real row, or complex values made in ``work`` and split.
+        w = out[0] if rows == 1 else work.view(np.complex128)
         _prime_powers(s, table.log_primes[block], w)
+        if rows == 2:
+            out[0], out[1] = w.real, w.imag
 
-    head = complex(*_prime_sums(table.count, 1 if real else 2, terms))
+    head = complex(*_prime_sums(table.count, rows, terms, scratch=2))
+    if not cmath.isfinite(head):
+        raise EulerProductError(
+            f"truncated prime zeta sum is not finite at s = {s}, x = {table.limit}"
+        )
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z, cut).value  # raises SingularityError when x = 1
 
@@ -400,10 +401,8 @@ def mertens_ratio(table: PrimeTable) -> float:
         )
 
     def terms(block, out, work):
-        row = out[:, 0]
-        row[...] = table.primes[block]
-        np.divide(-1.0, row, out=row)
-        np.log1p(row, out=row)
+        np.divide(-1.0, table.primes[block], out=out[0])
+        np.log1p(out[0], out=out[0])
 
     (log_sum,) = _prime_sums(table.count, 1, terms)
     return math.exp(-log_sum - EULER_GAMMA - math.log(math.log(table.limit)))

@@ -314,7 +314,7 @@ sys.exit(code)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page faults")
 def test_line_scan_does_not_fault_in_fresh_pages(tmp_path):
-    # Each row's kernel call makes its 5 blocks in one work array.  When
+    # Each row's kernel call makes its 3 blocks in one work array.  When
     # every block allocated its own temporaries, these 197 complex rows at
     # x = 10^6 took 220,000 minor page faults; one array per call takes
     # about 1,000, sieve included.

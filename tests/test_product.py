@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from eulerprod import product
 from eulerprod import (
     EULER_GAMMA,
     DomainError,
+    EulerProductError,
     ProductVariant,
     SingularFactorError,
     SingularityError,
@@ -54,10 +56,10 @@ def fsum_log_raw(s, table, variant, real_exp=True):
 
 def writes(terms):
     """A ``_prime_sums`` callback: ``terms`` has one row per quantity, and
-    each block's columns become the rows of ``out``."""
+    each block's columns of it are written into ``out``."""
 
     def fill(block, out, work):
-        out[...] = terms[:, block].T
+        out[...] = terms[:, block]
 
     return fill
 
@@ -108,6 +110,20 @@ def test_log_raw_singular_factor():
         with pytest.raises(SingularFactorError) as info:
             log_raw_product(s, table, ZETA)
         assert info.value.prime == 2
+
+
+@pytest.mark.parametrize("s", [0, 1e-18, 0j])
+@pytest.mark.parametrize("variant", [ZETA, INVERSE])
+def test_dead_factor_is_found_after_the_sum(s, variant, monkeypatch):
+    # Blocks of 7 put the dead factor of prime 2 in the first of many
+    # blocks.  Its -inf term reaches the sum, and only then is the table
+    # scanned for it, without a numpy warning on the way.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFactorError) as info:
+            log_raw_product(s, sieve(100), variant)
+    assert info.value.prime == 2
 
 
 def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
@@ -220,18 +236,18 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     [0.6, 0.8, 1.2, 2.0, 3.5, 0.55 + 0.5j, 0.55 + 14.134725j, 0.55 - 40.0j, 0.55 + 100.0j],
 )
 def test_log_raw_equals_one_fsum_at_1e6(table_1e6, s):
-    # 78498 primes make 5 blocks at the shipped block size, so this checks
-    # the default multi-block path.  The cascade is not correctly rounded by
-    # construction, but it misses fsum's bits only within ~n 2^-104
-    # sum|term| of a rounding boundary.
+    # 78498 primes make 3 blocks at the shipped block size, so this checks
+    # the default multi-block path.  The extraction's last partial is
+    # rounded, but it misses fsum's bits only within ~n 2^-104 sum|term| of
+    # a rounding boundary.
     assert table_1e6.count > product._BLOCK_TERMS
     for variant in ProductVariant:
         assert log_raw_product(s, table_1e6, variant) == fsum_log_raw(s, table_1e6, variant)
 
 
 def test_prime_sums_equal_fsum_at_every_width():
-    # Widths 0 to 300 take every path through the cascade: odd widths at
-    # every level, one column, none.
+    # Widths 0 to 300: no terms, one, and every extraction width m
+    # (2^m >= n + 2) up to 9, on both sides of each step.
     rng = np.random.default_rng(2005)
     for width in range(301):
         terms = rng.standard_normal((2, width)) * np.exp(rng.uniform(-40, 40, (2, width)))
@@ -249,10 +265,10 @@ def test_prime_sums_equal_fsum_at_every_width():
 )
 @example(values=[2.0, 3.602879701896397e16, 3.5770349121623523e-69, 2.0], block_terms=1 << 17)
 def test_prime_sums_error_bound(values, block_terms):
-    # The cascade's sum is within 2^-53 |exact| + n 2^-104 sum|x| of the
-    # exact sum.  The example is not correctly rounded: its exact sum lies
-    # just above a tie, and the partials give the tie itself, which rounds
-    # to even, 4 below the exact sum.
+    # The extraction's sum is within 2^-53 |exact| + n 2^-104 sum|x| of the
+    # exact sum.  The example's exact sum lies just above a tie: a sum that
+    # loses the 3.6e-69 rounds to even, 4 below it.  The extraction keeps
+    # the 3.6e-69 as a partial of its own, so fsum rounds up.
     terms = np.array([values], dtype=np.float64).reshape(1, len(values))
     with mock.patch.object(product, "_BLOCK_TERMS", block_terms):
         (total,) = product._prime_sums(len(values), 1, writes(terms))
@@ -271,6 +287,54 @@ def test_blocked_log_raw_equals_one_fsum(table_1e4, table_1e6, monkeypatch, bloc
     for s in (2.0 + 0.0j, 0.8 + 17.0j, 0.55 - 3.0j, 1.3 + 42.0j, 0.6 + 0.0j):
         for variant in ProductVariant:
             assert log_raw_product(s, table, variant) == fsum_log_raw(s, table, variant)
+
+
+def assert_exact_to_bound(values):
+    """One _prime_sums row of ``values`` is math.fsum's, and within the
+    documented 2^-53 |exact| + n 2^-104 sum|x| of the exact sum."""
+    terms = np.array([values])
+    (total,) = product._prime_sums(len(values), 1, writes(terms))
+    exact = sum(map(Fraction, values), Fraction(0))
+    magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
+    bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
+    assert abs(Fraction(total) - exact) <= bound
+    assert total == math.fsum(values)
+
+
+def test_prime_sums_exact_at_the_shipped_block_size():
+    # Two full blocks and three terms at the default block size, magnitudes
+    # from 2^-60 to 2^60, half of them cancelled to 2^-40 by near-negatives.
+    # The sum is then so far below sum|x| that one extraction level and a
+    # rounded sum of its remainders misses fsum's bits.
+    rng = np.random.default_rng(2008)
+    n = 2 * product._BLOCK_TERMS + 3
+    k = n // 2
+    half = rng.choice([-1.0, 1.0], k + 1) * np.exp2(rng.uniform(-60, 60, k + 1))
+    near = -half[:k] * (1.0 + rng.uniform(-(2.0**-40), 2.0**-40, k))
+    values = np.concatenate([half, near])
+    rng.shuffle(values)
+    assert_exact_to_bound(values.tolist())
+
+
+def test_prime_sums_exact_on_subnormals_and_huge_blocks():
+    # Subnormals: sigma is tiny and its second level underflows.  A largest
+    # term of 2^1020 would overflow sigma, so that block goes to fsum.
+    rng = np.random.default_rng(1074)
+    n = product._BLOCK_TERMS
+    tiny = rng.integers(-1000, 1000, n) * 2.0**-1074
+    tiny[::97] = 2.0**-1074
+    assert_exact_to_bound(tiny.tolist())
+    huge = rng.choice([-1.0, 1.0], n) * np.exp2(rng.uniform(-60, 60, n))
+    huge[n // 2] = 2.0**1020
+    assert_exact_to_bound(huge.tolist())
+
+
+def test_prime_sums_do_not_raise_on_overflow():
+    # math.fsum raises on both; the sums are +inf and nan.
+    terms = np.array([[1.7e308, 1.7e308], [math.inf, -math.inf]])
+    overflow, both = product._prime_sums(2, 2, writes(terms))
+    assert overflow == math.inf
+    assert math.isnan(both)
 
 
 # ---------------------------------------------------------- corrected_product
@@ -517,6 +581,25 @@ def test_prime_zeta_truncation_one_is_singular():
 def test_prime_zeta_branch_point(table_1e3):
     with pytest.raises(SingularityError):
         prime_zeta_truncated(1.0 + 0.0j, table_1e3)
+
+
+@pytest.mark.parametrize("s", [-102.7, -800 + 5j])
+def test_prime_zeta_overflow_is_a_library_error(s):
+    # Far left p^-s overflows: the head sum is +inf (s = -102.7) or holds
+    # both infinities (s = -800 + 5i).
+    with pytest.raises(EulerProductError, match="not finite"):
+        prime_zeta_truncated(s, sieve(1000))
+
+
+def test_prime_zeta_large_finite_head_is_exact():
+    # At s = -100 the terms reach 9.9e299 and the sum 9.2478e298 stays
+    # finite: one fsum per part of p^-s from the complex exp, plus E1.
+    table = sieve(1000)
+    w = np.exp(100.0 * table.log_primes.astype(complex))
+    head = complex(math.fsum(w.real.tolist()), math.fsum(w.imag.tolist()))
+    value = prime_zeta_truncated(-100, table)
+    assert value == head + e1(-101.0 * math.log(1000)).value
+    assert abs(value.real / 9.2478e298 - 1.0) < 1e-4
 
 
 # ----------------------------------------------------------------- mertens
