@@ -14,9 +14,10 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 
 #: Largest sieve limit accepted.  At this size the returned
-#: tables take 92 MB and the sieve peaks about 2 MB above them: its 1 MB
-#: segment buffer and one segment's prime indices.  No mask of the whole
-#: range is ever allocated.
+#: tables take 69 MB (int32 primes, float64 logs) and the sieve peaks about
+#: 2 MB above them: its 1 MB segment buffer and one segment's prime indices.
+#: No mask of the whole range is ever allocated.  It must stay below 2^31,
+#: so that every prime, and every query up to a table's limit, fits int32.
 DEFAULT_MAX_LIMIT = 10**8
 
 #: Odd entries struck per segment of the sieve: 1 MB of bool, which stays in
@@ -30,8 +31,10 @@ class PrimeTable:
     """All primes up to ``limit``, ascending, with their natural logs cached.
 
     The log cache exists because p^(-s) is evaluated as exp(-s log p) and the
-    logs dominate the cost of a scan when recomputed per point.  Arrays are
-    read-only; the table is safe to share across threads.
+    logs dominate the cost of a scan when recomputed per point.  ``primes``
+    is int32, which holds every prime below DEFAULT_MAX_LIMIT < 2^31 in half
+    the bytes of int64; ``log_primes`` is float64.  Arrays are read-only;
+    the table is safe to share across threads.
     """
 
     limit: int
@@ -53,7 +56,7 @@ class PrimeTable:
             raise DomainError(
                 f"cannot truncate table for limit {self.limit} up to {limit}"
             )
-        n = int(np.searchsorted(self.primes, limit, side="right"))
+        n = _count_at_most(self.primes, limit)
         return PrimeTable(limit=limit, primes=self.primes[:n], log_primes=self.log_primes[:n])
 
 
@@ -67,9 +70,11 @@ def sieve(limit: int) -> PrimeTable:
     _SEGMENT at a time in one reused buffer, so the strikes stay in cache
     (Bays & Hudson, BIT 17, 1977); each base prime carries its next index
     from one segment to the next.  Each segment's primes are written
-    straight into one int64 array sized by pi(x) < 1.25506 x / log x for
+    straight into one int32 array sized by pi(x) < 1.25506 x / log x for
     x > 1 (Rosser & Schoenfeld 1962), which is then sliced to the count;
-    its never-written pages never become resident.
+    its never-written pages never become resident.  int32 is exact because
+    ``limit`` is at most DEFAULT_MAX_LIMIT < 2^31, and np.log turns each
+    prime into the same float64 as from int64.
 
     Raises ResourceLimitError when ``limit`` exceeds DEFAULT_MAX_LIMIT and
     DomainError for negative limits.
@@ -81,7 +86,7 @@ def sieve(limit: int) -> PrimeTable:
             f"sieve limit {limit} exceeds the maximum {DEFAULT_MAX_LIMIT}"
         )
     if limit < 2:
-        primes = np.empty(0, dtype=np.int64)
+        primes = np.empty(0, dtype=np.int32)
     else:
         root = isqrt(limit)
         base_mask = np.ones((root + 1) // 2, dtype=bool)
@@ -92,7 +97,7 @@ def sieve(limit: int) -> PrimeTable:
         base = (2 * np.flatnonzero(base_mask[1:]) + 3).tolist()
         next_index = [p * p // 2 for p in base]
         size = (limit + 1) // 2
-        out = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int64)
+        out = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)
         buffer = np.empty(min(_SEGMENT, size), dtype=bool)
         count = 0
         for lo in range(0, size, _SEGMENT):
@@ -122,4 +127,16 @@ def prime_pi(table: PrimeTable, y: int) -> int:
     """Number of primes <= y, for y within the table's range."""
     if y > table.limit:
         raise DomainError(f"prime_pi query {y} exceeds table limit {table.limit}")
-    return int(np.searchsorted(table.primes, y, side="right"))
+    return _count_at_most(table.primes, y)
+
+
+def _count_at_most(primes: np.ndarray, y: int) -> int:
+    """Number of entries of ``primes`` that are <= y, for y at most the
+    table's limit.
+
+    The query goes to np.searchsorted in the table's own dtype: a Python int
+    would make numpy cast the whole table to int64 for one lookup.  Queries
+    below 0 are clamped to 0, where no prime lies, so that they still fit
+    int32.
+    """
+    return int(np.searchsorted(primes, primes.dtype.type(max(y, 0)), side="right"))

@@ -107,7 +107,8 @@ _PRIME_SQUARE_WEIGHTS = {
 #: Primes per block of the per-prime sums: a call's work array takes 512 KiB
 #: (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU VM, 4 MiB
 #: L2), 2^15 made the fastest real and complex calls at x = 10^6 and real
-#: ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with 2^14.
+#: ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with 2^14
+#: (both with the int64 prime table of the time).
 _BLOCK_TERMS = 1 << 15
 
 
@@ -232,8 +233,9 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     Ratio:       -sum log(1 + p^-s)
 
     Raises SingularFactorError if some factor vanishes at s (possible only
-    outside the supported half-plane, e.g. p^s = 1 at s = 0, or where p^-s
-    rounds to 1, as 2^-s does at s = 1e-18).
+    outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
+    term's log1p argument rounds to -1, as for prime 2 at s = 1e-18 and at
+    s = 1e-18 + 1e-300i).
     """
     s = complex(s)
     coeff, sign = _SHAPE[variant]
@@ -267,19 +269,19 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
         np.log1p(x, out=x)
         np.multiply(0.5, x, out=out[0])
 
-    if real:
-        sums = _prime_sums(table.count, 1, real_terms)
-    else:
-        sums = _prime_sums(table.count, 2, complex_terms, scratch=3)
+    terms, rows, scratch = (real_terms, 1, 0) if real else (complex_terms, 2, 3)
+    sums = _prime_sums(table.count, rows, terms, scratch)
     if sums[0] == -math.inf:
-        # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or nan.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or
+        # nan.  The same terms, made again block by block, show which it was.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, table.count, _BLOCK_TERMS):
-                block = slice(start, start + _BLOCK_TERMS)
-                w = np.exp(-(s.real if real else s) * table.log_primes[block])
-                dead = np.flatnonzero((1.0 + sign * w.real == 0.0) & (w.imag == 0.0))
+                block = slice(start, min(start + _BLOCK_TERMS, table.count))
+                out = np.empty((rows, block.stop - start))
+                terms(block, out, np.empty(scratch * out.shape[1]))
+                dead = np.flatnonzero(out[0] == -math.inf)
                 if dead.size:
-                    p = int(table.primes[block][dead[0]])
+                    p = int(table.primes[start + dead[0]])
                     raise SingularFactorError(
                         f"Euler factor vanishes at prime {p} for s = {s}", prime=p
                     )

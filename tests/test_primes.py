@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -141,8 +142,8 @@ def test_sieve_matches_trial_division_for_every_small_limit():
         assert sieve(limit).primes.tolist() == expected, limit
 
 
-def test_tables_are_int64_float64_read_only_and_bit_exact(table_1e6):
-    assert table_1e6.primes.dtype == np.int64
+def test_tables_are_int32_float64_read_only_and_bit_exact(table_1e6):
+    assert table_1e6.primes.dtype == np.int32
     assert table_1e6.log_primes.dtype == np.float64
     assert not table_1e6.primes.flags.writeable
     assert not table_1e6.log_primes.flags.writeable
@@ -161,7 +162,7 @@ def test_segments_match_the_whole_mask_at_every_small_limit(monkeypatch, segment
     monkeypatch.setattr(primes, "_SEGMENT", segment)
     for limit in range(3001):
         table = sieve(limit)
-        assert table.primes.dtype == np.int64
+        assert table.primes.dtype == np.int32
         assert np.array_equal(table.primes, whole_mask_primes(limit)), limit
 
 
@@ -170,4 +171,40 @@ def test_default_segments_match_the_whole_mask_at_1e7():
     table = sieve(10**7)
     assert (10**7 + 1) // 2 > 4 * primes._SEGMENT
     assert table.count == 664579
-    assert table.primes.tobytes() == whole_mask_primes(10**7).tobytes()
+    expected = whole_mask_primes(10**7)
+    assert expected.max() < 2**31
+    assert table.primes.tobytes() == expected.astype(np.int32).tobytes()
+
+
+def test_the_sieve_cap_fits_int32():
+    assert primes.DEFAULT_MAX_LIMIT < 2**31
+
+
+def test_lookups_and_the_sieve_make_no_table_sized_temporaries():
+    # A query numpy must cast would cast the whole table instead: 5.3 MB
+    # here for one lookup.  The sieve holds its int32 output, the float64
+    # logs, one segment buffer and one segment's indices.
+    table = sieve(10**7)
+    tracemalloc.start()
+    try:
+        for lookup in (lambda: table.truncate(10**6), lambda: prime_pi(table, 10**6)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lookup()
+            assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sieved = sieve(10**7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * sieved.count + 3 * 2**20
+
+
+@pytest.mark.parametrize("y", [-(10**10), -5, 0])
+def test_queries_below_every_prime_count_nothing(table_1e3, y):
+    assert prime_pi(table_1e3, y) == 0
+    cut = table_1e3.truncate(y)
+    assert cut.limit == y
+    assert cut.count == 0
+    assert cut.log_primes.size == 0

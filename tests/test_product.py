@@ -126,6 +126,18 @@ def test_dead_factor_is_found_after_the_sum(s, variant, monkeypatch):
     assert info.value.prime == 2
 
 
+@pytest.mark.parametrize("s", [1e-18 + 1e-300j, 1e-18 - 1e-300j, 1e-17 + 1e-20j])
+@pytest.mark.parametrize("variant", [ZETA, INVERSE])
+def test_dead_factor_off_the_real_axis_is_found(s, variant):
+    # Re 2^-s rounds to 1 while Im 2^-s is tiny but not 0: 2a + a^2 + b^2
+    # rounds to -1, so the term is -inf though 1 - 2^-s is not exactly 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFactorError) as info:
+            log_raw_product(s, sieve(1000), variant)
+    assert info.value.prime == 2
+
+
 def test_log_raw_blocks_agree_with_one_block_and_mpmath(table_1e4, monkeypatch):
     # 1229 primes fit in one block by default; blocks of 7 split them into
     # 176.  Every block passes its partials on unrounded to one final fsum,
