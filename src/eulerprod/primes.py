@@ -65,16 +65,16 @@ def sieve(limit: int) -> PrimeTable:
 
     The sieve covers odd numbers only: entry i stands for 2i + 1, which
     halves its size and skips the strikes of even multiples.  Entry 0 (the
-    number 1) is read as the prime 2.  A small odd mask first gives the
-    base primes up to sqrt(limit).  The entries are then struck
-    _SEGMENT at a time in one reused buffer, so the strikes stay in cache
-    (Bays & Hudson, BIT 17, 1977); each base prime carries its next index
-    from one segment to the next.  Each segment's primes are written
-    straight into one int32 array sized by pi(x) < 1.25506 x / log x for
-    x > 1 (Rosser & Schoenfeld 1962), which is then sliced to the count;
-    its never-written pages never become resident.  int32 is exact because
-    ``limit`` is at most DEFAULT_MAX_LIMIT < 2^31, and np.log turns each
-    prime into the same float64 as from int64.
+    number 1) is read as the prime 2.  The odd base primes up to
+    sqrt(limit) come from this same sieve, called on sqrt(limit).  The
+    entries are then struck _SEGMENT at a time in one reused buffer, so the
+    strikes stay in cache (Bays & Hudson, BIT 17, 1977); each base prime
+    carries its next index from one segment to the next.  Each segment's
+    primes are written straight into one int32 array sized by
+    pi(x) < 1.25506 x / log x for x > 1 (Rosser & Schoenfeld 1962), which is
+    then sliced to the count; its never-written pages never become resident.
+    int32 is exact because ``limit`` is at most DEFAULT_MAX_LIMIT < 2^31,
+    and np.log turns each prime into the same float64 as from int64.
 
     Raises ResourceLimitError when ``limit`` exceeds DEFAULT_MAX_LIMIT and
     DomainError for negative limits.
@@ -88,13 +88,7 @@ def sieve(limit: int) -> PrimeTable:
     if limit < 2:
         primes = np.empty(0, dtype=np.int32)
     else:
-        root = isqrt(limit)
-        base_mask = np.ones((root + 1) // 2, dtype=bool)
-        for i in range(1, (isqrt(root) - 1) // 2 + 1):
-            if base_mask[i]:
-                p = 2 * i + 1
-                base_mask[p * p // 2 :: p] = False
-        base = (2 * np.flatnonzero(base_mask[1:]) + 3).tolist()
+        base = sieve(isqrt(limit)).primes[1:].tolist()
         next_index = [p * p // 2 for p in base]
         size = (limit + 1) // 2
         out = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, SingularFactorError, SingularityError
 from .primes import PrimeTable
-from .specfun import EULER_GAMMA, BranchSide, e1
+from .specfun import EULER_GAMMA, e1
 from .zetaref import zeta_ref
 
 
@@ -355,15 +355,14 @@ def corrected_product(
     )
 
 
-def prime_zeta_truncated(
-    s: complex, table: PrimeTable, cut: BranchSide = BranchSide.FROM_ABOVE
-) -> complex:
+def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
     """Truncated prime zeta sum plus its E1 correction.
 
     Returns sum_{p <= x} p^-s + E1[(s-1) log x], the x-truncated
     approximation to the prime zeta function P(s) on Re(s) > 1/2.  P has a
     branch point at s = 1 (the cut in s runs along (1/2, 1]), so s = 1 is
-    rejected.
+    rejected.  On that cut (real s < 1) E1 is taken from above, so the
+    value is P's limit from above: its imaginary part is -pi there.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -388,7 +387,7 @@ def prime_zeta_truncated(
             f"truncated prime zeta sum is not finite at s = {s}, x = {table.limit}"
         )
     z = (s - 1.0) * math.log(table.limit)
-    return head + e1(z, cut).value  # raises SingularityError when x = 1
+    return head + e1(z).value  # raises SingularityError when x = 1
 
 
 def mertens_ratio(table: PrimeTable) -> float:

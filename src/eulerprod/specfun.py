@@ -4,11 +4,16 @@ E1(z) = integral of exp(-t)/t from z to infinity, analytic on the plane cut
 along (-inf, 0].  Two double-precision methods cover the plane:
 
 * a power series  E1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!),
-  accurate for small |z| and, because the terms have no sign alternation
-  there, for arbitrarily large |z| on the negative real axis;
+  whose terms peak near e^|z| while E1 is near e^-Re z / |z|, so it cancels
+  by about e^(|z| + Re z): little for small |z| or near the negative real
+  axis at any modulus (on the cut the terms all have one sign);
 * the standard continued fraction exp(-z) / (z+1- 1/(z+3- 4/(z+5- ...)))
-  with numerators k^2, evaluated by the modified Lentz algorithm, for
-  large |z| away from the cut.
+  with numerators k^2, evaluated by the modified Lentz algorithm, fast for
+  large |z| away from the cut and ever slower as arg z nears +-pi.
+
+e1 takes the series where |z| <= SERIES_CUTOFF or |z| + Re z <= 2, that is
+Re sqrt(z) <= 1: a parabola holding the whole cut, where the series cancels
+by at most about e^2.  Outside it the fraction converges well within its cap.
 
 On the cut itself the two one-sided limits differ by 2*pi*i; callers choose
 the side through BranchSide.  FromAbove gives Im E1 = -pi on the negative
@@ -27,13 +32,12 @@ from .errors import ConvergenceError, DomainError, EulerProductError, Singularit
 #: Euler-Mascheroni constant to full double precision.
 EULER_GAMMA = 0.5772156649015329
 
-#: |z| at which the dispatcher switches from the series to the continued
-#: fraction.  At 4 the alternating series still loses fewer than 3 digits to
-#: cancellation and the fraction already converges in a few dozen steps.
+#: |z| up to which the dispatcher takes the series at every angle.  At 4 the
+#: alternating series still loses fewer than 3 digits to cancellation and
+#: the fraction already converges in a few dozen steps.
 SERIES_CUTOFF = 4.0
 
 _SERIES_TOL = 1e-17
-_SERIES_MAX_TERMS = 200
 _CF_TOL = 1e-15
 _CF_MAX_ITER = 10**4
 _TINY = 1e-300
@@ -58,20 +62,20 @@ class E1Result:
     on_cut: bool
 
 
-def e1_series(z: complex, *, max_terms: int = _SERIES_MAX_TERMS) -> complex:
-    """Power-series evaluation of E1(z).
+def e1_series(z: complex) -> complex:
+    """Power-series evaluation of E1(z) in e1's series region.
 
-    Intended for |z| <= SERIES_CUTOFF, where cancellation is harmless.  The
-    principal log makes arguments on the negative real axis (imaginary part
-    +0.0) come out as the limit from above.  Truncates once a term falls
-    below 1e-17 of the running total, or after ``max_terms`` terms.
+    The principal log makes arguments on the negative real axis (imaginary
+    part +0.0) come out as the limit from above.  Truncates once a term
+    falls below 1e-17 of the running total, or after max(200, 3.2|z| + 80)
+    terms, past the terms' peak near k = |z|.
     """
     z = complex(z)
     if z == 0:
         raise SingularityError("E1 has a logarithmic singularity at z = 0")
     total = -EULER_GAMMA - cmath.log(z)
     power = 1.0 + 0.0j  # (-z)^k / k!
-    for k in range(1, max_terms + 1):
+    for k in range(1, max(200, int(3.2 * abs(z)) + 80) + 1):
         power *= -z / k
         term = power / k
         total -= term
@@ -81,13 +85,12 @@ def e1_series(z: complex, *, max_terms: int = _SERIES_MAX_TERMS) -> complex:
 
 
 def e1_continued_fraction(z: complex) -> complex:
-    """Continued-fraction evaluation of E1(z) for |z| above the cutoff.
+    """Continued-fraction evaluation of E1(z) away from the cut.
 
     Modified Lentz iteration on exp(-z)/(z+1- 1^2/(z+3- 2^2/(z+5- ...))).
-    Convergence slows as arg z approaches +-pi; within the iteration cap the
-    fraction is reliable for |arg z| up to about 3.05.  Raises
-    ConvergenceError when the cap is hit (points hugging the cut), and the
-    dispatcher's cut convention must be used for arguments exactly on it.
+    Convergence slows as arg z nears +-pi; at |z| of 4-10 it hits the
+    iteration cap beyond about |arg z| = 3.1 and raises ConvergenceError.
+    e1 never sends it such points.
     """
     z = complex(z)
     if z == 0:
@@ -119,14 +122,13 @@ def e1_continued_fraction(z: complex) -> complex:
 def e1(z: complex, cut: BranchSide = BranchSide.FROM_ABOVE) -> E1Result:
     """Evaluate E1(z), taking the ``cut`` side limit on (-inf, 0).
 
-    Dispatches on |z|: series up to SERIES_CUTOFF, continued fraction beyond.
-    Points on the cut always use the series (its terms are all positive
-    there, so it stays stable at any modulus; the term cap is widened
-    accordingly) with the principal log supplying the FromAbove value and
-    conjugation supplying FromBelow.
+    Series or continued fraction by the rule of the module docstring.  On
+    the cut the principal log gives the FromAbove value and conjugation
+    FromBelow.
 
     Raises DomainError for a non-finite z, and EulerProductError where
-    |E1(z)| leaves double range (about Re z < -709.78 near the cut).
+    |E1(z)| or the series' largest term leaves double range (near the cut,
+    from about Re z < -713).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -147,13 +149,13 @@ def _e1_dispatch(z: complex, cut: BranchSide) -> E1Result:
     if on_cut:
         # Canonicalise the imaginary part to +0.0 so the principal log picks
         # arg = +pi regardless of any signed zero the caller passed in.
-        terms = max(_SERIES_MAX_TERMS, int(3.2 * abs(z.real)) + 80)
-        value = e1_series(complex(z.real, 0.0), max_terms=terms)
-        if cut is BranchSide.FROM_BELOW:
+        z = complex(z.real, 0.0)
+    # Re sqrt(z) <= 1 (module docstring); |z| + Re z = 0 on the cut.
+    if abs(z) <= SERIES_CUTOFF or abs(z) + z.real <= 2.0:
+        value = e1_series(z)
+        if on_cut and cut is BranchSide.FROM_BELOW:
             value = value.conjugate()
-        return E1Result(value=value, method=E1Method.SERIES, on_cut=True)
-    if abs(z) <= SERIES_CUTOFF:
-        return E1Result(value=e1_series(z), method=E1Method.SERIES, on_cut=False)
+        return E1Result(value=value, method=E1Method.SERIES, on_cut=on_cut)
     return E1Result(
         value=e1_continued_fraction(z), method=E1Method.CONTINUED_FRACTION, on_cut=False
     )

@@ -130,6 +130,16 @@ def test_scan_survives_per_row_errors(table_1e2):
     assert rows[1].value is not None
 
 
+def test_scan_next_to_the_cut_makes_no_error_rows(table_1e4):
+    # At sigma = 0.55 and t <= 0.1, E1[(s-1) log x] lies just above its cut,
+    # where the continued fraction fails; the series gives every row a value.
+    spec = line_spec(x=10**4, sigma=0.55, t_min=0.0, t_max=0.1, step=0.001)
+    rows = scan(spec, table_1e4)
+    assert len(rows) == 101
+    assert all(row.value is not None for row in rows)
+    assert not [f for row in rows for f in row.flags if f.startswith("error:")]
+
+
 def test_vertical_scan_tracks_reference(table_1e3):
     rows = scan(line_spec(x=1000, sigma=0.8, t_min=0.0, t_max=50.0, step=0.5), table_1e3)
     assert len(rows) == 101

@@ -5,9 +5,10 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import product
@@ -529,6 +530,49 @@ def test_unknown_order_rejected(table_1e3):
     for order in (0, 3):
         with pytest.raises(ValueError):
             corrected_product(2.0 + 0.0j, table_1e3, ZETA, order=order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.floats(0.5, 3.0, exclude_min=True),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 100.0)),
+    variant=st.sampled_from(list(ProductVariant)),
+    order=st.sampled_from([1, 2]),
+    x=st.sampled_from([10**2, 10**3, 10**4]),
+)
+@example(sigma=0.55, t=0.0391, variant=ZETA, order=2, x=10**4)  # next to the cut
+def test_corrected_product_matches_mpmath(
+    table_1e2, table_1e3, table_1e4, sigma, t, variant, order, x
+):
+    # The same truncated, corrected product to 30 digits: log1p per prime,
+    # and E1 for each correction term.  Each term's log errs by about 2^-53
+    # (|term| + |s| log p |p^-s|), the last from rounding s log p, and the
+    # correction by 2^-53 |correction|; their sum is the value's relative
+    # error.  The E1 wedge next to the cut once made this 54 times as large.
+    s = complex(sigma, t)
+    assume(s != 1)
+    table = {10**2: table_1e2, 10**3: table_1e3, 10**4: table_1e4}[x]
+    value = corrected_product(s, table, variant, order).value
+    coeff, sign = SHAPES[variant]
+    weights = {ZETA: (1, 1, -1), INVERSE: (-1, -1, 1), RATIO: (-1, 1, 1)}[variant]
+    with mpmath.workdps(30):
+        s_mp = mpmath.mpc(sigma, t)
+        log_x = mpmath.log(x)
+        log_sum = coeff * mpmath.fsum(
+            mpmath.log1p(sign * mpmath.mpf(int(p)) ** -s_mp) for p in table.primes
+        )
+        correction = weights[0] * mpmath.e1((s_mp - 1) * log_x)
+        if order == 2 and 0.5 < sigma < 1.0:
+            correction += (
+                weights[1] * mpmath.e1((2 * s_mp - 1) * log_x)
+                + weights[2] * mpmath.e1((s_mp - 0.5) * log_x)
+            ) / 2
+        ref = complex(mpmath.exp(log_sum + correction))
+        power = np.exp(-s * table.log_primes)
+        scale = float(
+            np.sum(np.abs(np.log1p(sign * power)) + abs(s) * table.log_primes * np.abs(power))
+        ) + abs(complex(correction))
+    assert abs(value - ref) <= 8 * 2.0**-53 * scale * abs(ref)
 
 
 # ------------------------------------------------------------- prime zeta

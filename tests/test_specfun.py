@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -34,6 +35,12 @@ def e1_quadrature(z: complex) -> complex:
     re, _ = quad(integrand, 0.0, np.inf, args=(0,), epsabs=1e-16, epsrel=1e-13, limit=400)
     im, _ = quad(integrand, 0.0, np.inf, args=(1,), epsabs=1e-16, epsrel=1e-13, limit=400)
     return cmath.exp(-z) * complex(re, im)
+
+
+def e1_mpmath(z: complex) -> complex:
+    """E1(z) to 30 digits, rounded to the nearest double."""
+    with mpmath.workdps(30):
+        return complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
 
 
 def e1_oncut_real_oracle(x: float) -> float:
@@ -172,23 +179,61 @@ def test_dispatcher_method_selection():
     assert e1(5.0 + 0.0j).method is E1Method.CONTINUED_FRACTION
 
 
+def test_dispatcher_takes_the_series_inside_the_parabola():
+    # Beyond the disc the series keeps |z| + Re z <= 2, that is Re sqrt(z) <= 1.
+    assert e1(-8.0 + 4.0j).method is E1Method.SERIES  # |z| + Re z = 0.94
+    assert e1(-3.0 + 4.0j).method is E1Method.SERIES  # exactly 2, |z| = 5
+    assert e1(-2.0 + 4.6j).method is E1Method.CONTINUED_FRACTION  # 3.02
+
+
+@pytest.mark.parametrize(
+    "z", [-5 + 0.05j, -20 + 0.2j, -4.14 + 0.138j, 10.0 * cmath.exp(3.13j)]
+)
+def test_wedge_next_to_the_cut_takes_the_series(z):
+    # The continued fraction fails or errs here (see the test below); the
+    # series loses at most about e^(|z| + Re z) to cancellation.
+    result = e1(z)
+    assert result.method is E1Method.SERIES
+    assert not result.on_cut
+    assert abs(result.value - e1_mpmath(z)) <= 1e-15 * abs(e1_mpmath(z))
+
+
+def test_e1_is_accurate_over_the_product_wedge():
+    # Every E1 argument of an order-2 corrected product, (s-1) L, (2s-1) L
+    # and (s-1/2) L with L = log x, for 1/2 < sigma < 1 and small t, where
+    # (s-1) L lies just above the cut.  None may raise.  Where the disc's
+    # series cancels by more than e^4 (near the positive axis, |z| ~ 4) its
+    # error grows like e^(|z| + Re z), so the bound does too.
+    for sigma in np.linspace(0.5, 1.0, 12)[1:-1]:
+        for t in np.linspace(0.0, 0.1, 11):
+            s = complex(sigma, t)
+            for k in range(2, 9):
+                log_x = math.log(10**k)
+                for z in ((s - 1.0) * log_x, (2.0 * s - 1.0) * log_x, (s - 0.5) * log_x):
+                    ref = e1_mpmath(z)
+                    bound = 1e-14 * max(1.0, math.exp(abs(z) + z.real - 4.0))
+                    assert abs(e1(z).value - ref) <= bound * abs(ref), f"at z={z}"
+
+
 def test_singularity_at_zero():
     for fn in (lambda: e1(0.0), lambda: e1_series(0.0), lambda: e1_continued_fraction(0.0)):
         with pytest.raises(SingularityError):
             fn()
 
 
-@pytest.mark.parametrize("z", [-712 + 1j, -720 + 0j, -800 + 0j])
+@pytest.mark.parametrize("z", [-720 + 1j, -720 + 0j, -800 + 0j])
 def test_overflow_is_named(z):
-    # Off the cut exp(-z) overflows in the continued fraction; on the cut
-    # the series runs to inf - inf.  Both are one named error.
+    # |E1(z)| is about 7e309 at -720 + 1i: the series' terms overflow, on
+    # the cut to inf - inf.  Both are one named error.
     with pytest.raises(EulerProductError, match="overflows double precision"):
         e1(z)
 
 
 def test_largest_values_are_unchanged():
-    # Just inside double range e1 returns what its methods give.
-    assert e1(-700 + 1j).value == e1_continued_fraction(-700 + 1j)
+    # Just inside double range the series, which e1 takes next to the cut,
+    # matches mpmath; the fraction's exp(-z) = e^712 would overflow.
+    for z in (-700 + 1j, -712 + 1j):
+        assert abs(e1(z).value - e1_mpmath(z)) <= 1e-14 * abs(e1_mpmath(z))
     assert cmath.isfinite(e1(-709 + 0j).value)
 
 
