@@ -33,9 +33,6 @@ from .specfun import BranchSide, e1
 
 CSV_HEADER = "sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags"
 
-_VARIANTS = {v.value: v for v in ProductVariant}
-_CUTS = {"above": BranchSide.FROM_ABOVE, "below": BranchSide.FROM_BELOW}
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -92,7 +89,7 @@ def _add_common(parser: argparse.ArgumentParser, *, variant=True) -> None:
     if variant:
         parser.add_argument(
             "--variant",
-            choices=sorted(_VARIANTS),
+            choices=sorted(v.value for v in ProductVariant),
             default=ProductVariant.ZETA.value,
             help="product shape: zeta, inverse-zeta or ratio (zeta(2s)/zeta(s))",
         )
@@ -153,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the cut's 2 pi i jump cancels there.
     p.add_argument(
         "--cut",
-        choices=sorted(_CUTS),
-        default="above",
+        choices=sorted(side.value for side in BranchSide),
+        default=BranchSide.FROM_ABOVE.value,
         help="side of the branch cut used for on-cut E1 arguments",
     )
     _add_common(p, variant=False)
@@ -164,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_eval(args) -> list[ScanRow]:
     s = complex(args.sigma, args.t)
-    return [evaluate(s, sieve(args.x), _VARIANTS[args.variant])]
+    return [evaluate(s, sieve(args.x), ProductVariant(args.variant))]
 
 
 def _run_scan_real(args) -> list[ScanRow]:
@@ -172,7 +169,7 @@ def _run_scan_real(args) -> list[ScanRow]:
         mode=ScanMode.REAL_AXIS,
         x=args.x,
         step=args.step,
-        variant=_VARIANTS[args.variant],
+        variant=ProductVariant(args.variant),
         s_min=args.s_min,
         s_max=args.s_max,
     )
@@ -184,7 +181,7 @@ def _run_scan_line(args) -> list[ScanRow]:
         mode=ScanMode.VERTICAL_LINE,
         x=args.x,
         step=args.step,
-        variant=_VARIANTS[args.variant],
+        variant=ProductVariant(args.variant),
         sigma=args.sigma,
         t_min=args.t,
         t_max=args.t_max,
@@ -205,7 +202,7 @@ def _run_decay(args) -> list[ScanRow]:
         raise ValueError(f"could not parse --x-grid {args.x_grid!r}") from None
     s = complex(args.sigma, args.t)
     try:
-        fit = error_decay(s, x_grid, _VARIANTS[args.variant])
+        fit = error_decay(s, x_grid, ProductVariant(args.variant))
     except DomainError as exc:
         # Re(s) <= 1/2, refused before any sieving like a bad grid.
         raise ValueError(str(exc)) from None
@@ -224,7 +221,7 @@ def _run_decay(args) -> list[ScanRow]:
 
 
 def _run_e1(args) -> list[ScanRow]:
-    result = e1(complex(args.re, args.im), _CUTS[args.cut])
+    result = e1(complex(args.re, args.im), BranchSide(args.cut))
     flags = ("on-cut",) if result.on_cut else ()
     return [ScanRow(args.re, args.im, None, result.value, None, None, None, flags)]
 

@@ -50,13 +50,17 @@ class PrimeTable:
         """View of this table restricted to primes <= ``limit``.
 
         Cheap (numpy slices share storage); used by decay experiments that
-        sieve once to the largest x and mask downwards.
+        sieve once to the largest x and mask downwards, and by prime_pi.
         """
         if limit > self.limit:
             raise DomainError(
                 f"cannot truncate table for limit {self.limit} up to {limit}"
             )
-        n = _count_at_most(self.primes, limit)
+        # The query takes the table's own dtype, or numpy would cast the whole
+        # table to int64 for one lookup; limits below 0, where no prime lies,
+        # are clamped to 0 to fit int32.
+        query = self.primes.dtype.type(max(limit, 0))
+        n = int(np.searchsorted(self.primes, query, side="right"))
         return PrimeTable(limit=limit, primes=self.primes[:n], log_primes=self.log_primes[:n])
 
 
@@ -118,19 +122,6 @@ def sieve(limit: int) -> PrimeTable:
 
 
 def prime_pi(table: PrimeTable, y: int) -> int:
-    """Number of primes <= y, for y within the table's range."""
-    if y > table.limit:
-        raise DomainError(f"prime_pi query {y} exceeds table limit {table.limit}")
-    return _count_at_most(table.primes, y)
-
-
-def _count_at_most(primes: np.ndarray, y: int) -> int:
-    """Number of entries of ``primes`` that are <= y, for y at most the
-    table's limit.
-
-    The query goes to np.searchsorted in the table's own dtype: a Python int
-    would make numpy cast the whole table to int64 for one lookup.  Queries
-    below 0 are clamped to 0, where no prime lies, so that they still fit
-    int32.
-    """
-    return int(np.searchsorted(primes, primes.dtype.type(max(y, 0)), side="right"))
+    """Number of primes <= y, for y within the table's range: the count of
+    ``table.truncate(y)``, which raises DomainError beyond it."""
+    return table.truncate(y).count

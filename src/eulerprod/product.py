@@ -9,12 +9,12 @@ x^(1/2 - sigma) log x.  This is correction order 1, the paper's.
 
 Order 2 adds the prime-square term.  The log of the product counts prime
 powers, and Riemann's prime-power count J(x) = sum_k pi(x^(1/k))/k ~ li(x)
-puts a second deterministic piece into the tail beyond p <= x.  With
-L = log x and F(w) = E1[(2s-1) w] it is +(F(L) - F(L/2))/2 for the zeta
-product, its negative for the inverse, and +(F(L) + F(L/2))/2 for the
-ratio.  Order 2 applies the term only on 1/2 < Re(s) < 1 (see
-corrected_product).  Scans, decay fits and the CLI use order 2
-(eulerprod.experiments.EXPERIMENT_ORDER); corrected_product defaults to 1.
+puts a second deterministic piece into the tail beyond p <= x.  Every
+weight of both orders follows from the product's shape (_SHAPE).  Order 2
+applies the term only on 1/2 < Re(s) < 1 (see corrected_product).  Scans,
+decay fits and the CLI use order 2 (eulerprod.experiments.EXPERIMENT_ORDER);
+corrected_product defaults to 1.  mertens_ratio is the zeta product's
+uncorrected log sum at s = 1.
 
 Three product shapes are supported:
 
@@ -30,12 +30,15 @@ invariants, so every per-prime sum splits its terms exactly by error-free
 extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
 faithful rounding", SIAM J. Sci. Comput. 31(1), 2008; see _prime_sums).
 The terms are made in blocks of _BLOCK_TERMS primes, one contiguous row per
-quantity.  Each sum allocates one work array, and every block writes its
-p^-s, its terms, their intermediate values and the extraction into views of
-it: no block allocates an array, and a deep table never holds more than one
-block of terms.  The result is within 2^-53 |sum| + n 2^-104 sum |term| of
-the exact sum of n terms; it equals one math.fsum over all terms unless that
-sum lies within about n 2^-104 sum |term| of a rounding boundary.
+quantity.  Each sum allocates one work array (see _BLOCK_TERMS for its
+size), and every block writes its p^-s, its terms, their intermediate values
+and the extraction into views of it: no block allocates an array, a deep
+table never holds more than one block of terms, and a scan's rows do not
+fault in fresh pages (scan-line over 197 complex rows at x = 10^6 took
+about 1,300 minor page faults).  The result is within 2^-53 |sum| +
+n 2^-104 sum |term| of the exact sum of n terms; it equals one math.fsum
+over all terms unless that sum lies within about n 2^-104 sum |term| of a
+rounding boundary.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
@@ -81,28 +84,17 @@ class ProductVariant(Enum):
 
 
 # (coefficient, sign) per variant: the log sum is coeff * sum log(1 + sign*p^-s).
+# The corrections restore its tail over p > x.  log(1 + u) = u - u^2/2 + ...
+# and, with L = log x, sum_{p>x} p^-s ~ E1[(s-1)L] - E1[(s-1/2)L]/2 (the
+# -li(sqrt y)/2 term of J) and sum_{p>x} p^-2s ~ E1[(2s-1)L].  So order 1 is
+# coeff*sign*E1[(s-1)L], and order 2 adds -coeff/2 on E1[(2s-1)L] and
+# -coeff*sign/2 on E1[(s-1/2)L].  Every weight is exact, so the zeta and
+# inverse-zeta corrections negate exactly in floating point.
 _SHAPE = {
     ProductVariant.ZETA: (-1.0, -1.0),
     ProductVariant.INVERSE_ZETA: (1.0, -1.0),
     ProductVariant.RATIO_ZETA2S_OVER_ZETA: (-1.0, 1.0),
 }
-
-# Correction is +E1 for the zeta product and -E1 for the other two.
-_CORRECTION_SIGN = {
-    ProductVariant.ZETA: 1.0,
-    ProductVariant.INVERSE_ZETA: -1.0,
-    ProductVariant.RATIO_ZETA2S_OVER_ZETA: -1.0,
-}
-
-# Prime-square term per variant: a * E1[(2s-1) log x] + b * E1[(s-1/2) log x].
-# The zeta and inverse-zeta weights are exact negatives, so the two
-# order-2 corrections negate exactly in floating point.
-_PRIME_SQUARE_WEIGHTS = {
-    ProductVariant.ZETA: (0.5, -0.5),
-    ProductVariant.INVERSE_ZETA: (-0.5, 0.5),
-    ProductVariant.RATIO_ZETA2S_OVER_ZETA: (0.5, 0.5),
-}
-
 
 #: Primes per block of the per-prime sums: a call's work array takes 512 KiB
 #: (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU VM, 4 MiB
@@ -239,7 +231,6 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     """
     s = complex(s)
     coeff, sign = _SHAPE[variant]
-    real = _is_real(s)
 
     def real_terms(block, out, work):
         # log(1 + u) = log1p(u) for u = sign * p^-s, real and in [-1, 1].
@@ -269,22 +260,25 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
         np.log1p(x, out=x)
         np.multiply(0.5, x, out=out[0])
 
-    terms, rows, scratch = (real_terms, 1, 0) if real else (complex_terms, 2, 3)
+    terms, rows, scratch = (real_terms, 1, 0) if _is_real(s) else (complex_terms, 2, 3)
     sums = _prime_sums(table.count, rows, terms, scratch)
     if sums[0] == -math.inf:
         # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or
-        # nan.  The same terms, made again block by block, show which it was.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, table.count, _BLOCK_TERMS):
-                block = slice(start, min(start + _BLOCK_TERMS, table.count))
-                out = np.empty((rows, block.stop - start))
-                terms(block, out, np.empty(scratch * out.shape[1]))
-                dead = np.flatnonzero(out[0] == -math.inf)
-                if dead.size:
-                    p = int(table.primes[start + dead[0]])
-                    raise SingularFactorError(
-                        f"Euler factor vanishes at prime {p} for s = {s}", prime=p
-                    )
+        # nan.  The same terms, made again, show which it was.
+        dead = []
+
+        def find_dead(block, out, work):
+            terms(block, out, work)
+            hits = np.flatnonzero(out[0] == -math.inf)
+            if hits.size and not dead:
+                dead.append(block.start + int(hits[0]))
+
+        _prime_sums(table.count, rows, find_dead, scratch)
+        if dead:
+            p = int(table.primes[dead[0]])
+            raise SingularFactorError(
+                f"Euler factor vanishes at prime {p} for s = {s}", prime=p
+            )
     # One real row: complex(re) has imaginary part +0.0.
     return coeff * complex(*sums)
 
@@ -329,9 +323,10 @@ def corrected_product(
     log_raw = log_raw_product(s, table, variant)
     log_x = math.log(table.limit) if table.limit >= 1 else 0.0
     e1_result = e1((s - 1.0) * log_x)  # raises SingularityError when x = 1
-    correction = _CORRECTION_SIGN[variant] * e1_result.value
+    coeff, sign = _SHAPE[variant]
+    correction = coeff * sign * e1_result.value
     if order == 2 and 0.5 < s.real < 1.0:
-        a, b = _PRIME_SQUARE_WEIGHTS[variant]
+        a, b = -coeff / 2, -coeff * sign / 2
         correction += (
             a * e1((2.0 * s - 1.0) * log_x).value + b * e1((s - 0.5) * log_x).value
         )
@@ -393,17 +388,13 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
 def mertens_ratio(table: PrimeTable) -> float:
     """Ratio of prod_{p <= x} (1 - 1/p)^-1 to its asymptote e^gamma log x.
 
-    Computed in the log domain; tends to 1 from above as x grows.  Requires
-    limit >= 2 so the product is nonempty and log x is positive.
+    The log of the product is the zeta product's kernel at s = 1,
+    log_raw_product(1.0, table, ZETA).real.  Tends to 1 from above as x
+    grows.  Requires limit >= 2 so the product is nonempty and log x > 0.
     """
     if table.limit < 2:
         raise SingularityError(
             f"Mertens ratio needs at least one prime (limit >= 2), got {table.limit}"
         )
-
-    def terms(block, out, work):
-        np.divide(-1.0, table.primes[block], out=out[0])
-        np.log1p(out[0], out=out[0])
-
-    (log_sum,) = _prime_sums(table.count, 1, terms)
-    return math.exp(-log_sum - EULER_GAMMA - math.log(math.log(table.limit)))
+    log_sum = log_raw_product(1.0, table, ProductVariant.ZETA).real
+    return math.exp(log_sum - EULER_GAMMA - math.log(math.log(table.limit)))

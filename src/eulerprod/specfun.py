@@ -32,7 +32,7 @@ from .errors import ConvergenceError, DomainError, EulerProductError, Singularit
 #: Euler-Mascheroni constant to full double precision.
 EULER_GAMMA = 0.5772156649015329
 
-#: |z| up to which the dispatcher takes the series at every angle.  At 4 the
+#: |z| up to which e1 takes the series at every angle.  At 4 the
 #: alternating series still loses fewer than 3 digits to cancellation and
 #: the fraction already converges in a few dozen steps.
 SERIES_CUTOFF = 4.0
@@ -123,8 +123,8 @@ def e1(z: complex, cut: BranchSide = BranchSide.FROM_ABOVE) -> E1Result:
     """Evaluate E1(z), taking the ``cut`` side limit on (-inf, 0).
 
     Series or continued fraction by the rule of the module docstring.  On
-    the cut the principal log gives the FromAbove value and conjugation
-    FromBelow.
+    the cut the principal log, at imaginary part +0.0 whatever signed zero z
+    carries, gives the FromAbove value and conjugation FromBelow.
 
     Raises DomainError for a non-finite z, and EulerProductError where
     |E1(z)| or the series' largest term leaves double range (near the cut,
@@ -135,27 +135,18 @@ def e1(z: complex, cut: BranchSide = BranchSide.FROM_ABOVE) -> E1Result:
         raise DomainError(f"E1 needs a finite argument, got {z}")
     if z == 0:
         raise SingularityError("E1 has a logarithmic singularity at z = 0")
+    on_cut = z.imag == 0.0 and z.real < 0.0
     try:
-        result = _e1_dispatch(z, cut)
-        if cmath.isfinite(result.value):
-            return result
+        # Re sqrt(z) <= 1 (module docstring); |z| + Re z = 0 on the cut.
+        if abs(z) <= SERIES_CUTOFF or abs(z) + z.real <= 2.0:
+            method = E1Method.SERIES
+            value = e1_series(complex(z.real, 0.0) if on_cut else z)
+            if on_cut and cut is BranchSide.FROM_BELOW:
+                value = value.conjugate()
+        else:
+            method, value = E1Method.CONTINUED_FRACTION, e1_continued_fraction(z)
+        if cmath.isfinite(value):
+            return E1Result(value=value, method=method, on_cut=on_cut)
     except OverflowError:
         pass
     raise EulerProductError(f"E1 overflows double precision at z = {z}")
-
-
-def _e1_dispatch(z: complex, cut: BranchSide) -> E1Result:
-    on_cut = z.imag == 0.0 and z.real < 0.0
-    if on_cut:
-        # Canonicalise the imaginary part to +0.0 so the principal log picks
-        # arg = +pi regardless of any signed zero the caller passed in.
-        z = complex(z.real, 0.0)
-    # Re sqrt(z) <= 1 (module docstring); |z| + Re z = 0 on the cut.
-    if abs(z) <= SERIES_CUTOFF or abs(z) + z.real <= 2.0:
-        value = e1_series(z)
-        if on_cut and cut is BranchSide.FROM_BELOW:
-            value = value.conjugate()
-        return E1Result(value=value, method=E1Method.SERIES, on_cut=on_cut)
-    return E1Result(
-        value=e1_continued_fraction(z), method=E1Method.CONTINUED_FRACTION, on_cut=False
-    )

@@ -158,9 +158,12 @@ def test_log_primes_cached(table_1e3):
 @pytest.mark.parametrize("segment", [1, 2, 3, 64])
 def test_segments_match_the_whole_mask_at_every_small_limit(monkeypatch, segment):
     # Segments this small put a boundary between almost any two entries,
-    # and base primes larger than a segment skip whole segments.
+    # and base primes larger than a segment skip whole segments.  Segments
+    # of 1-3 entries take every limit up to 1000 and from 2900 to 3000,
+    # whose odd base primes run up to 53, so both still occur.
     monkeypatch.setattr(primes, "_SEGMENT", segment)
-    for limit in range(3001):
+    limits = range(3001) if segment > 3 else [*range(1001), *range(2900, 3001)]
+    for limit in limits:
         table = sieve(limit)
         assert table.primes.dtype == np.int32
         assert np.array_equal(table.primes, whole_mask_primes(limit)), limit

@@ -217,7 +217,8 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
 
 def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     # Blocks of 7 split the 1229 primes into 176.  Every block of one call
-    # writes its terms and their intermediate values into the same array.
+    # writes its terms and their intermediate values into the same array,
+    # and so does the second call that finds a dead factor.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     prime_sums = product._prime_sums
     calls = []
@@ -238,7 +239,10 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     prime_zeta_truncated(0.7 + 9.0j, table_1e4)
     prime_zeta_truncated(2.0, table_1e4)
     mertens_ratio(table_1e4)
-    assert len(calls) == 5
+    with pytest.raises(SingularFactorError) as info:
+        log_raw_product(1e-18, table_1e4, ZETA)
+    assert info.value.prime == 2
+    assert len(calls) == 7
     for addresses in calls:
         assert len(addresses) == 176
         assert len(set(addresses)) == 1
@@ -667,6 +671,15 @@ def test_mertens_hand_value():
     hand = 4.375 / (math.exp(EULER_GAMMA) * math.log(10.0))
     assert abs(mertens_ratio(table) - hand) < 1e-12
     assert abs(mertens_ratio(table) - 1.06686) < 1e-4
+
+
+def test_mertens_is_the_zeta_product_at_one(table_1e3, table_1e6):
+    # Mertens' third theorem is the zeta product at s = 1: the ratio takes
+    # its log sum from the product's own kernel.
+    for t in (sieve(10), table_1e3, table_1e6):
+        assert mertens_ratio(t) == math.exp(
+            log_raw_product(1.0, t, ZETA).real - EULER_GAMMA - math.log(math.log(t.limit))
+        )
 
 
 def test_mertens_converges(table_1e3):
