@@ -39,7 +39,6 @@ from .product import (
 )
 from .specfun import (
     EULER_GAMMA,
-    SERIES_CUTOFF,
     BranchSide,
     E1Method,
     E1Result,
@@ -69,7 +68,6 @@ __all__ = [
     "ScanMode",
     "ScanRow",
     "ScanSpec",
-    "SERIES_CUTOFF",
     "SingularFactorError",
     "SingularityError",
     "corrected_product",

@@ -164,28 +164,14 @@ def _run_eval(args) -> list[ScanRow]:
     return [evaluate(s, sieve(args.x), ProductVariant(args.variant))]
 
 
-def _run_scan_real(args) -> list[ScanRow]:
-    spec = ScanSpec(
-        mode=ScanMode.REAL_AXIS,
-        x=args.x,
-        step=args.step,
-        variant=ProductVariant(args.variant),
-        s_min=args.s_min,
-        s_max=args.s_max,
-    )
-    return scan(spec, sieve(args.x))
-
-
-def _run_scan_line(args) -> list[ScanRow]:
-    spec = ScanSpec(
-        mode=ScanMode.VERTICAL_LINE,
-        x=args.x,
-        step=args.step,
-        variant=ProductVariant(args.variant),
-        sigma=args.sigma,
-        t_min=args.t,
-        t_max=args.t_max,
-    )
+def _run_scan(args) -> list[ScanRow]:
+    if args.command == "scan-real":
+        mode, bounds = ScanMode.REAL_AXIS, dict(s_min=args.s_min, s_max=args.s_max)
+    else:
+        mode = ScanMode.VERTICAL_LINE
+        bounds = dict(sigma=args.sigma, t_min=args.t, t_max=args.t_max)
+    variant = ProductVariant(args.variant)
+    spec = ScanSpec(mode=mode, x=args.x, step=args.step, variant=variant, **bounds)
     return scan(spec, sieve(args.x))
 
 
@@ -228,8 +214,8 @@ def _run_e1(args) -> list[ScanRow]:
 
 _RUNNERS = {
     "eval": _run_eval,
-    "scan-real": _run_scan_real,
-    "scan-line": _run_scan_line,
+    "scan-real": _run_scan,
+    "scan-line": _run_scan,
     "mertens": _run_mertens,
     "decay": _run_decay,
     "e1": _run_e1,

@@ -81,7 +81,7 @@ def test_continued_fraction_at_ten():
     assert abs(value - 4.156968929685325e-06) / 4.156968929685325e-06 < 1e-12
 
 
-def test_methods_agree_at_cutoff():
+def test_methods_agree_at_four():
     s = e1_series(4.0 + 0.0j)
     c = e1_continued_fraction(4.0 + 0.0j)
     assert abs(s - c) / abs(s) < 1e-12
@@ -175,15 +175,33 @@ def test_positive_real_argument_is_real():
 
 
 def test_dispatcher_method_selection():
-    assert e1(3.0 + 0.0j).method is E1Method.SERIES
+    # On the positive axis |z| + Re z = 2z, so the series ends at z = 1.5.
+    assert e1(1.5 + 0.0j).method is E1Method.SERIES
+    assert e1(1.5 + 1e-9 + 0.0j).method is E1Method.CONTINUED_FRACTION
     assert e1(5.0 + 0.0j).method is E1Method.CONTINUED_FRACTION
 
 
 def test_dispatcher_takes_the_series_inside_the_parabola():
-    # Beyond the disc the series keeps |z| + Re z <= 2, that is Re sqrt(z) <= 1.
+    # The series holds exactly |z| + Re z <= 3, that is Re sqrt(z) <= sqrt(1.5).
     assert e1(-8.0 + 4.0j).method is E1Method.SERIES  # |z| + Re z = 0.94
-    assert e1(-3.0 + 4.0j).method is E1Method.SERIES  # exactly 2, |z| = 5
+    assert e1(-4.0 + 5.6j).method is E1Method.SERIES  # 2.88, |z| = 6.9
+    assert e1(-12.0 + 9.0j).method is E1Method.SERIES  # exactly 3, |z| = 15
     assert e1(-2.0 + 4.6j).method is E1Method.CONTINUED_FRACTION  # 3.02
+
+
+def test_e1_is_accurate_on_both_sides_of_the_series_bound():
+    # z0 lies on |z| + Re z = 3 with |z0| = r, in either half-plane; scaling
+    # it by 1 -+ 1e-6 moves |z| + Re z by the same factor, far beyond
+    # rounding even where |z| ~ 700.
+    sides = ((1.0 - 1e-6, E1Method.SERIES), (1.0 + 1e-6, E1Method.CONTINUED_FRACTION))
+    for r in np.geomspace(1.5, 700.0, 60):
+        for sign in (1.0, -1.0):
+            z0 = complex(3.0 - r, sign * math.sqrt(6.0 * r - 9.0))
+            for scale, method in sides:
+                z = z0 * scale
+                result, ref = e1(z), e1_mpmath(z)
+                assert result.method is method, f"at z={z}"
+                assert abs(result.value - ref) <= 1e-14 * abs(ref), f"at z={z}"
 
 
 @pytest.mark.parametrize(
@@ -201,9 +219,7 @@ def test_wedge_next_to_the_cut_takes_the_series(z):
 def test_e1_is_accurate_over_the_product_wedge():
     # Every E1 argument of an order-2 corrected product, (s-1) L, (2s-1) L
     # and (s-1/2) L with L = log x, for 1/2 < sigma < 1 and small t, where
-    # (s-1) L lies just above the cut.  None may raise.  Where the disc's
-    # series cancels by more than e^4 (near the positive axis, |z| ~ 4) its
-    # error grows like e^(|z| + Re z), so the bound does too.
+    # (s-1) L lies just above the cut.  None may raise.
     for sigma in np.linspace(0.5, 1.0, 12)[1:-1]:
         for t in np.linspace(0.0, 0.1, 11):
             s = complex(sigma, t)
@@ -211,8 +227,7 @@ def test_e1_is_accurate_over_the_product_wedge():
                 log_x = math.log(10**k)
                 for z in ((s - 1.0) * log_x, (2.0 * s - 1.0) * log_x, (s - 0.5) * log_x):
                     ref = e1_mpmath(z)
-                    bound = 1e-14 * max(1.0, math.exp(abs(z) + z.real - 4.0))
-                    assert abs(e1(z).value - ref) <= bound * abs(ref), f"at z={z}"
+                    assert abs(e1(z).value - ref) <= 1e-14 * abs(ref), f"at z={z}"
 
 
 def test_singularity_at_zero():
