@@ -30,15 +30,20 @@ invariants, so every per-prime sum splits its terms exactly by error-free
 extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
 faithful rounding", SIAM J. Sci. Comput. 31(1), 2008; see _prime_sums).
 The terms are made in blocks of _BLOCK_TERMS primes, one contiguous row per
-quantity.  Each sum allocates one work array (see _BLOCK_TERMS for its
-size), and every block writes its p^-s, its terms, their intermediate values
-and the extraction into views of it: no block allocates an array, a deep
-table never holds more than one block of terms, and a scan's rows do not
-fault in fresh pages (scan-line over 197 complex rows at x = 10^6 took
-about 1,300 minor page faults).  The result is within 2^-53 |sum| +
-n 2^-104 sum |term| of the exact sum of n terms; it equals one math.fsum
-over all terms unless that sum lies within about n 2^-104 sum |term| of a
-rounding boundary.
+quantity.  Each sum allocates one work array per worker (see _BLOCK_TERMS
+for its size), and every block writes its p^-s, its terms, their
+intermediate values and the extraction into views of its worker's: no block
+allocates an array, a deep table never holds more than one block of terms
+per worker, and a scan's rows do not fault in fresh pages (scan-line over
+197 complex rows at x = 10^6 took about 1,300 minor page faults).  A sum
+has one worker, the calling thread, unless it spans at least
+_BLOCKS_PER_WORKER blocks per worker: on two cores, from x of about 3.2
+million (8 blocks).  Then its blocks are dealt to one worker per core
+(see _prime_sums), and every block's partial sums still reach one exact
+math.fsum, so the bits do not depend on the number of cores.  The result is
+within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of n terms; it
+equals one math.fsum over all terms unless that sum lies within about
+n 2^-104 sum |term| of a rounding boundary.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
@@ -56,6 +61,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,12 +103,27 @@ _SHAPE = {
     ProductVariant.RATIO_ZETA2S_OVER_ZETA: (-1.0, 1.0),
 }
 
-#: Primes per block of the per-prime sums: a call's work array takes 512 KiB
-#: (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU VM, 4 MiB
-#: L2), 2^15 made the fastest real and complex calls at x = 10^6 and real
-#: ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with 2^14
-#: (both with the int64 prime table of the time).
+#: Primes per block of the per-prime sums: each worker's work array takes
+#: 512 KiB (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU
+#: VM, 4 MiB L2), 2^15 made the fastest real and complex calls at x = 10^6
+#: and real ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with
+#: 2^14 (both with the int64 prime table of the time).
 _BLOCK_TERMS = 1 << 15
+
+#: Cores this process may run on, counted once at import: the most workers
+#: one per-prime sum uses.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+
+#: A sum takes W workers only with at least this many blocks per worker.
+#: Against one worker (2-vCPU VM, medians of 80 alternated calls, two
+#: runs), a second took 0.59-0.79 of the time of complex calls from 2
+#: blocks on, but 1.01-1.48 of real calls up to 6 blocks, 0.92-1.02 at 8
+#: and 0.85-0.93 from 10.  4 keeps x = 10^6 (3 blocks), where a second
+#: worker slows real calls, on one, and gives x = 10^7 (21 blocks) two.
+_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -144,8 +166,20 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     ``terms(block, out, work)`` writes the terms of ``block``, a slice of
     range(count), into ``out``, shape (rows, len(block)): one contiguous row
     per quantity.  ``work`` holds ``scratch`` floats per term for its own
-    use; both are views of the one array this call allocates.  Returns one
-    sum per quantity; no terms sum to 0.
+    use; both are views of one work array per worker.  Returns one sum per
+    quantity; no terms sum to 0.
+
+    The blocks are dealt, strided, to W workers: the calling thread and
+    W - 1 threads, W the most of _WORKERS (the cores this process may use)
+    that leaves each worker _BLOCKS_PER_WORKER blocks or more, so a call of
+    fewer than twice that many blocks starts no thread.  With W > 1 each
+    worker keeps to one core of the caller's CPU affinity for the call,
+    where the OS allows it.  numpy releases the GIL for a block's passes, so
+    the workers run at once; ``terms`` may be called from any of them.  Each
+    block's sums are the same whichever worker makes them, and all reach
+    one final math.fsum unrounded, which is exact and so independent of
+    their order: the bits do not depend on W.  An exception in a worker is
+    raised in the caller.
 
     For n terms below 2^e and the least m with 2^m >= n + 2, sigma = 2^(m+e)
     splits each x exactly into q = (x + sigma) - sigma, a multiple of
@@ -157,36 +191,86 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     block, or the terms of a row whose largest is not finite or would
     overflow sigma.
     """
+    starts = range(0, count, _BLOCK_TERMS)
+    workers = max(1, min(_WORKERS, len(starts) // _BLOCKS_PER_WORKER))
     width = min(count, _BLOCK_TERMS)
     span = rows * width
-    work = np.empty(span + max(rows, scratch) * width)
-    sums = [np.zeros(rows)]  # per block and level, one sum per quantity
-    loose: list[list[float]] = [[] for _ in range(rows)]
-    # Far left of the half-plane p^-s overflows; the inf and nan it makes
-    # reach the caller as a value or an error, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, count, _BLOCK_TERMS):
-            n = min(_BLOCK_TERMS, count - start)
-            x = work[: rows * n].reshape(rows, n)
-            q = work[span : span + rows * n].reshape(rows, n)
-            terms(slice(start, start + n), x, work[span : span + scratch * n])
-            m = (n + 1).bit_length()
-            tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
-            sigmas = []
-            for row, values, top in zip(loose, x, tops):
-                e = m + math.frexp(top)[1]
-                if not (math.isfinite(top) and e <= 1023):
-                    row.extend(values.tolist())  # fsum takes these terms,
-                    values[...] = 0.0  # and any finite sigma leaves them 0
-                sigmas.append(math.ldexp(1.0, min(e, 1023)))
-            scale = 2.0 ** (m - 53)
-            for sigma in np.array([sigmas, [v * scale for v in sigmas]])[:, :, None]:
-                np.add(x, sigma, out=q)
-                np.subtract(q, sigma, out=q)
-                np.subtract(x, q, out=x)
-                sums.append(np.add.reduce(q, axis=1))
-            sums.append(np.add.reduce(x, axis=1))
-    return [_fsum(row + more) for row, more in zip(np.transpose(sums).tolist(), loose)]
+
+    def partials(mine: range) -> list[list[float]]:
+        """Each row's unrounded partial sums over the blocks starting at ``mine``."""
+        work = np.empty(span + max(rows, scratch) * width)
+        sums = [np.zeros(rows)]  # per block and level, one sum per quantity
+        loose: list[list[float]] = [[] for _ in range(rows)]
+        # Far left of the half-plane p^-s overflows; the inf and nan it makes
+        # reach the caller as a value or an error, not as numpy warnings.
+        # numpy's error state is per thread, so each worker sets its own.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in mine:
+                n = min(_BLOCK_TERMS, count - start)
+                x = work[: rows * n].reshape(rows, n)
+                q = work[span : span + rows * n].reshape(rows, n)
+                terms(slice(start, start + n), x, work[span : span + scratch * n])
+                m = (n + 1).bit_length()
+                tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
+                sigmas = []
+                for row, values, top in zip(loose, x, tops):
+                    e = m + math.frexp(top)[1]
+                    if not (math.isfinite(top) and e <= 1023):
+                        row.extend(values.tolist())  # fsum takes these terms,
+                        values[...] = 0.0  # and any finite sigma leaves them 0
+                    sigmas.append(math.ldexp(1.0, min(e, 1023)))
+                scale = 2.0 ** (m - 53)
+                for sigma in np.array([sigmas, [v * scale for v in sigmas]])[:, :, None]:
+                    np.add(x, sigma, out=q)
+                    np.subtract(q, sigma, out=q)
+                    np.subtract(x, q, out=x)
+                    sums.append(np.add.reduce(q, axis=1))
+                sums.append(np.add.reduce(x, axis=1))
+        return [row + more for row, more in zip(np.transpose(sums).tolist(), loose)]
+
+    if workers == 1:
+        return [_fsum(row) for row in partials(starts)]
+    parts: list = [None] * workers
+    # Left to the scheduler, two workers at times shared one core for a
+    # whole call, slower than one worker (2-vCPU VM, most often after a long
+    # one-thread run such as the sieve).  Where the OS allows it, each worker
+    # keeps to one core of the caller's affinity, which the caller gets back.
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cores = sorted(mask)
+
+    def keep_to_core(k: int) -> bool:
+        """Keeps the calling thread on one core; False where the OS does not."""
+        if not cores:
+            return False
+        try:
+            os.sched_setaffinity(0, {cores[k % len(cores)]})
+        except OSError:  # e.g. a sandbox that refuses the call: run unpinned
+            return False
+        return True
+
+    def run(k: int) -> None:
+        try:
+            keep_to_core(k)
+            parts[k] = partials(starts[k::workers])
+        except BaseException as error:  # raised again in the caller
+            parts[k] = error
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    pinned = False
+    try:
+        pinned = keep_to_core(0)
+        parts[0] = partials(starts[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+        if pinned:
+            os.sched_setaffinity(0, mask)
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return [_fsum([v for part in row for v in part]) for row in zip(*parts)]
 
 
 def _fsum(values: list[float]) -> float:
@@ -270,12 +354,12 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
         def find_dead(block, out, work):
             terms(block, out, work)
             hits = np.flatnonzero(out[0] == -math.inf)
-            if hits.size and not dead:
+            if hits.size:  # blocks may come in any order: keep every first hit
                 dead.append(block.start + int(hits[0]))
 
         _prime_sums(table.count, rows, find_dead, scratch)
         if dead:
-            p = int(table.primes[dead[0]])
+            p = int(table.primes[min(dead)])
             raise SingularFactorError(
                 f"Euler factor vanishes at prime {p} for s = {s}", prime=p
             )

@@ -29,6 +29,7 @@ on (1/2, 1) to come out real and negative like zeta does there.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,10 @@ EULER_GAMMA = 0.5772156649015329
 #: docstring).
 _SERIES_BOUND = 3.0
 _SERIES_TOL = 1e-17
+#: Past |z| = _SERIES_FAR, about where e^|z| leaves double range,
+#: e1_series scales its terms by 2^-_SERIES_SHIFT.
+_SERIES_FAR = 709.0
+_SERIES_SHIFT = 64
 _CF_TOL = 1e-15
 _CF_MAX_ITER = 10**4
 _TINY = 1e-300
@@ -72,20 +77,35 @@ def e1_series(z: complex) -> complex:
     The principal log makes arguments on the negative real axis (imaginary
     part +0.0) come out as the limit from above.  Truncates once a term
     falls below 1e-17 of the running total, or after max(200, 3.2|z| + 80)
-    terms, past the terms' peak near k = |z|.
+    terms, past the terms' peak near k = |z|.  Where that peak would leave
+    double range before E1 does, the sum is made scaled by a power of two,
+    which gives the same bits as unbounded exponents would.
     """
     z = complex(z)
     if z == 0:
         raise SingularityError("E1 has a logarithmic singularity at z = 0")
     total = -EULER_GAMMA - cmath.log(z)
     power = 1.0 + 0.0j  # (-z)^k / k!
+    # Past |z| = _SERIES_FAR the terms, which peak near e^|z| / sqrt(2 pi |z|),
+    # would overflow before E1 does: there the total and every term are
+    # carried times 2^-_SERIES_SHIFT, which leaves each operation exact, and
+    # scaled back at the end.
+    shift = _SERIES_SHIFT if abs(z) > _SERIES_FAR else 0
+    if shift:
+        total, power = _ldexp(total, -shift), _ldexp(power, -shift)
     for k in range(1, max(200, int(3.2 * abs(z)) + 80) + 1):
         power *= -z / k
         term = power / k
         total -= term
         if abs(term) <= _SERIES_TOL * abs(total):
             break
-    return total
+    return _ldexp(total, shift) if shift else total
+
+
+def _ldexp(w: complex, shift: int) -> complex:
+    """w * 2^shift, exact unless it underflows; OverflowError where it
+    leaves double range."""
+    return complex(math.ldexp(w.real, shift), math.ldexp(w.imag, shift))
 
 
 def e1_continued_fraction(z: complex) -> complex:
@@ -136,8 +156,8 @@ def e1(z: complex, cut: BranchSide = BranchSide.FROM_ABOVE) -> E1Result:
     carries, gives the FromAbove value and conjugation FromBelow.
 
     Raises DomainError for a non-finite z, and EulerProductError where
-    |E1(z)| or the series' largest term leaves double range (near the cut,
-    from about Re z < -713).
+    |E1(z)| leaves double range: next to the cut, from about |z| = 716.4
+    (-716.3 returns, -717 raises).
     """
     z = complex(z)
     if not cmath.isfinite(z):

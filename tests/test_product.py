@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -216,10 +218,12 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
 
 
 def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
-    # Blocks of 7 split the 1229 primes into 176.  Every block of one call
-    # writes its terms and their intermediate values into the same array,
-    # and so does the second call that finds a dead factor.
+    # Blocks of 7 split the 1229 primes into 176, dealt to two workers.
+    # Every block a worker takes writes its terms and their intermediate
+    # values into that worker's one array, so a call, and the second call
+    # that finds a dead factor, shows at most two addresses.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    monkeypatch.setattr(product, "_WORKERS", 2)
     prime_sums = product._prime_sums
     calls = []
 
@@ -245,7 +249,7 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     assert len(calls) == 7
     for addresses in calls:
         assert len(addresses) == 176
-        assert len(set(addresses)) == 1
+        assert len(set(addresses)) <= 2
 
 
 @pytest.mark.parametrize(
@@ -352,6 +356,136 @@ def test_prime_sums_do_not_raise_on_overflow():
     overflow, both = product._prime_sums(2, 2, writes(terms))
     assert overflow == math.inf
     assert math.isnan(both)
+
+
+# ------------------------------------------------------------------- workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_count_does_not_change_the_bits(table_1e4, monkeypatch, workers):
+    # Blocks of 7 split the 1229 primes into 176, dealt strided to the
+    # workers.  Each block's sums reach one exact fsum, whose result does not
+    # depend on their order, so every worker count gives one worker's bits.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+
+    def quantities():
+        values = [
+            log_raw_product(s, table_1e4, variant)
+            for s in (2.0, 0.6, 0.8 + 17.0j, 0.55 - 3.0j, -0.5)
+            for variant in ProductVariant
+        ]
+        values += [prime_zeta_truncated(s, table_1e4) for s in (2.0, 0.7 + 9.0j)]
+        values.append(mertens_ratio(table_1e4))
+        return [repr(value) for value in values]
+
+    monkeypatch.setattr(product, "_WORKERS", 1)
+    one = quantities()
+    monkeypatch.setattr(product, "_WORKERS", workers)
+    assert quantities() == one
+
+
+def test_workers_give_the_caller_its_cpu_affinity_back(table_1e4, monkeypatch):
+    # Each worker keeps to one core of the caller's affinity, here a fake
+    # {4, 6}, and the caller gets its own back whether the call returns or
+    # raises.  Where the OS refuses, the sum runs unpinned.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    monkeypatch.setattr(product, "_WORKERS", 2)
+    masks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6}, raising=False)
+    monkeypatch.setattr(
+        os,
+        "sched_setaffinity",
+        lambda pid, mask: masks.append((threading.current_thread(), set(mask))),
+        raising=False,
+    )
+    caller = threading.current_thread()
+    value = log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
+    assert [mask for thread, mask in masks if thread is caller] == [{4}, {4, 6}]
+    assert [mask for thread, mask in masks if thread is not caller] == [{6}]
+
+    def failing(s, log_primes, out):
+        raise RuntimeError("every block")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(product, "_prime_powers", failing)
+        masks.clear()
+        with pytest.raises(RuntimeError, match="every block"):
+            log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
+    assert [mask for thread, mask in masks if thread is caller] == [{4}, {4, 6}]
+
+    def refuse(pid, mask):
+        raise PermissionError("sched_setaffinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    assert log_raw_product(0.8 + 17.0j, table_1e4, ZETA) == value
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("s", [0j, 1e-18, 1e-18 + 1e-300j])
+def test_dead_factor_is_the_least_over_all_workers(table_1e4, monkeypatch, s, workers):
+    # At s = 0 every factor vanishes, so every worker finds one; at 1e-18
+    # only prime 2's does.  The search names the least prime either way.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    monkeypatch.setattr(product, "_WORKERS", workers)
+    for variant in (ZETA, INVERSE):
+        with pytest.raises(SingularFactorError) as info:
+            log_raw_product(s, table_1e4, variant)
+        assert info.value.prime == 2
+
+
+def test_workers_raise_no_numpy_warning_where_p_s_overflows(table_1e4, monkeypatch):
+    # numpy's error state is per thread: each worker sets its own, or p^200
+    # would warn from the second worker.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    monkeypatch.setattr(product, "_WORKERS", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-200.0 + 3.0j, -200.0):
+            for variant in ProductVariant:
+                assert not cmath.isfinite(log_raw_product(s, table_1e4, variant))
+            with pytest.raises(EulerProductError, match="not finite"):
+                prime_zeta_truncated(s, table_1e4)
+
+
+def test_worker_exception_reaches_the_caller(table_1e4, monkeypatch):
+    # Blocks are dealt strided, so the second block, primes 19 to 53, is the
+    # second worker's.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    monkeypatch.setattr(product, "_WORKERS", 2)
+    prime_powers = product._prime_powers
+    second_block = table_1e4.log_primes[7]
+    owners = []
+
+    def failing(s, log_primes, out):
+        if log_primes[0] == second_block:
+            owners.append(threading.current_thread())
+            raise RuntimeError("second block")
+        prime_powers(s, log_primes, out)
+
+    monkeypatch.setattr(product, "_prime_powers", failing)
+    for s in (0.8, 0.8 + 17.0j):
+        with pytest.raises(RuntimeError, match="second block"):
+            log_raw_product(s, table_1e4, ZETA)
+    assert len(owners) == 2
+    assert threading.main_thread() not in owners
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_small_calls_start_no_thread(table_1e4, table_1e6, monkeypatch, workers):
+    # x = 10^4 is one block and x = 10^6 three: below _BLOCKS_PER_WORKER
+    # blocks for a second worker, so the calling thread sums them alone.
+    monkeypatch.setattr(product, "_WORKERS", workers)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small sum started a thread")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    for table, blocks in ((table_1e4, 1), (table_1e6, 3)):
+        assert -(-table.count // product._BLOCK_TERMS) == blocks
+        for s in (0.8, 0.8 + 17.0j):
+            log_raw_product(s, table, RATIO)
+            prime_zeta_truncated(s, table)
+        mertens_ratio(table)
 
 
 # ---------------------------------------------------------- corrected_product

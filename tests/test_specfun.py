@@ -236,7 +236,7 @@ def test_singularity_at_zero():
             fn()
 
 
-@pytest.mark.parametrize("z", [-720 + 1j, -720 + 0j, -800 + 0j])
+@pytest.mark.parametrize("z", [-717 + 0j, -720 + 1j, -720 + 0j, -800 + 0j])
 def test_overflow_is_named(z):
     # |E1(z)| is about 7e309 at -720 + 1i: the series' terms overflow, on
     # the cut to inf - inf.  Both are one named error.
@@ -250,6 +250,17 @@ def test_largest_values_are_unchanged():
     for z in (-700 + 1j, -712 + 1j):
         assert abs(e1(z).value - e1_mpmath(z)) <= 1e-14 * abs(e1_mpmath(z))
     assert cmath.isfinite(e1(-709 + 0j).value)
+
+
+@pytest.mark.parametrize("z", [-714 + 0j, -715 + 1j, -716 + 1j, -716.3 + 0j])
+def test_series_reaches_the_edge_of_double_range(z):
+    # The series' peak term, about e^|z| / sqrt(2 pi |z|), would overflow
+    # here before |E1| (up to 1.7e308) does; its scaled sum does not.
+    # |E1| itself is too large for abs(), so the error is taken in mpmath.
+    value = e1(z).value
+    with mpmath.workdps(40):
+        ref = mpmath.e1(mpmath.mpc(z.real, z.imag))
+        assert abs(mpmath.mpc(value.real, value.imag) - ref) <= 1e-14 * abs(ref)
 
 
 def test_continued_fraction_fails_hugging_the_cut():
