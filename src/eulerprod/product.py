@@ -4,8 +4,10 @@ The product over primes p <= x is accumulated in the log domain and
 exponentiated once.  Multiplying by exp(+-E1[(s-1) log x]) compensates the
 truncation of the slowest-converging component (the prime zeta part) and
 extends the product's useful range from Re(s) > 1 to Re(s) > 1/2, away from
-s = 1, with an empirically checkable error that decays like
-x^(1/2 - sigma) log x.  This is correction order 1, the paper's.
+s = 1, with an empirically checkable error.  Under RH it is at most of order
+x^(1/2 - sigma) log x, the paper's rate; the explicit formula gives its
+typical size as C x^(1/2 - sigma) / log x with an oscillating C, the model
+that eulerprod.experiments fits.  This is correction order 1, the paper's.
 
 Order 2 adds the prime-square term.  The log of the product counts prime
 powers, and Riemann's prime-power count J(x) = sum_k pi(x^(1/k))/k ~ li(x)
@@ -35,15 +37,20 @@ for its size), and every block writes its p^-s, its terms, their
 intermediate values and the extraction into views of its worker's: no block
 allocates an array, a deep table never holds more than one block of terms
 per worker, and a scan's rows do not fault in fresh pages (scan-line over
-197 complex rows at x = 10^6 took about 1,300 minor page faults).  A sum
-has one worker, the calling thread, unless it spans at least
-_BLOCKS_PER_WORKER blocks per worker: on two cores, from x of about 3.2
-million (8 blocks).  Then its blocks are dealt to one worker per core
-(see _prime_sums), and every block's partial sums still reach one exact
+197 complex rows at x = 10^6 took about 1,300 minor page faults).  That
+holds at every s: far left of the half-plane, where terms are inf or nan,
+a block's row of them is added up in place, and an inf or a nan decides
+the sum by IEEE addition.  A sum has one worker, the calling thread,
+unless it spans at least _BLOCKS_PER_WORKER blocks per worker: on two
+cores, from x of about 3.2 million (8 blocks).  Then its blocks are dealt
+to one worker per core the process may use at the time of the call (see
+_prime_sums), and every block's partial sums still reach one exact
 math.fsum, so the bits do not depend on the number of cores.  The result is
 within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of n terms; it
 equals one math.fsum over all terms unless that sum lies within about
-n 2^-104 sum |term| of a rounding boundary.
+n 2^-104 sum |term| of a rounding boundary.  Every finite term must stay
+far below double range (see _prime_sums), so prime_zeta_truncated, whose
+terms are p^-s, refuses Re(s) <= 0 as zeta_ref does.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
@@ -65,7 +72,6 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -109,13 +115,6 @@ _SHAPE = {
 #: and real ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with
 #: 2^14 (both with the int64 prime table of the time).
 _BLOCK_TERMS = 1 << 15
-
-#: Cores this process may run on, counted once at import: the most workers
-#: one per-prime sum uses.
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:
-    _WORKERS = os.cpu_count() or 1
 
 #: A sum takes W workers only with at least this many blocks per worker.
 #: Against one worker (2-vCPU VM, medians of 80 alternated calls, two
@@ -169,38 +168,53 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     use; both are views of one work array per worker.  Returns one sum per
     quantity; no terms sum to 0.
 
-    The blocks are dealt, strided, to W workers: the calling thread and
-    W - 1 threads, W the most of _WORKERS (the cores this process may use)
-    that leaves each worker _BLOCKS_PER_WORKER blocks or more, so a call of
-    fewer than twice that many blocks starts no thread.  With W > 1 each
-    worker keeps to one core of the caller's CPU affinity for the call,
-    where the OS allows it.  numpy releases the GIL for a block's passes, so
-    the workers run at once; ``terms`` may be called from any of them.  Each
+    Every finite term of a block of n must lie below 2^(1023-m), where m is
+    the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
+    the splitting constants below and any block's sum stay finite.  The
+    callers' terms are far below it: a log term is at most about 710 in
+    magnitude, and |p^-s| < 1 for Re(s) > 0.  A block's row whose largest
+    term is inf or nan is added up by plain IEEE addition, and so are all
+    such rows of a quantity: its sum is nan if they hold a nan or both
+    infinities, and +-inf otherwise.
+
+    A call of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
+    thread.  A larger one reads the caller's CPU affinity once and deals
+    its blocks, strided, to W workers: the calling thread and W - 1
+    threads, W the most of the affinity's cores that leaves each worker
+    _BLOCKS_PER_WORKER blocks or more.  Each worker keeps to one of those
+    cores for the call, where the OS allows it, and the caller gets its
+    affinity back.  numpy releases the GIL for a block's passes, so the
+    workers run at once; ``terms`` may be called from any of them.  Each
     block's sums are the same whichever worker makes them, and all reach
     one final math.fsum unrounded, which is exact and so independent of
     their order: the bits do not depend on W.  An exception in a worker is
     raised in the caller.
 
-    For n terms below 2^e and the least m with 2^m >= n + 2, sigma = 2^(m+e)
-    splits each x exactly into q = (x + sigma) - sigma, a multiple of
-    2^-53 sigma, and x - q.  The q add up to less than sigma, so
-    np.add.reduce sums them exactly; 2^(m-53) sigma splits the remainders
-    again.  Summing the n left over, each at most 2^(2m+e-106), in any order
-    errs by under n^2 2^(2m+e-159) < 8 n^2 (n+2)^2 2^-159 max|x|, below
-    n 2^-104 max|x| for n <= 2^17.  math.fsum adds the three sums of every
-    block, or the terms of a row whose largest is not finite or would
-    overflow sigma.
+    For n terms below 2^e, sigma = 2^(m+e) splits each x exactly into
+    q = (x + sigma) - sigma, a multiple of 2^-53 sigma, and x - q.  The q
+    add up to less than sigma, so np.add.reduce sums them exactly;
+    2^(m-53) sigma splits the remainders again.  Summing the n left over,
+    each at most 2^(2m+e-106), in any order errs by under
+    n^2 2^(2m+e-159) < 8 n^2 (n+2)^2 2^-159 max|x|, below n 2^-104 max|x|
+    for n <= 2^17.  math.fsum adds the three sums of every block.
     """
     starts = range(0, count, _BLOCK_TERMS)
-    workers = max(1, min(_WORKERS, len(starts) // _BLOCKS_PER_WORKER))
+    mask: set[int] = set()
+    if len(starts) >= 2 * _BLOCKS_PER_WORKER:  # smaller sums make no syscall
+        try:
+            mask = os.sched_getaffinity(0)
+        except AttributeError:  # an OS without affinities: any core
+            mask = set(range(os.cpu_count() or 1))
+    workers = max(1, min(len(mask), len(starts) // _BLOCKS_PER_WORKER))
     width = min(count, _BLOCK_TERMS)
     span = rows * width
 
-    def partials(mine: range) -> list[list[float]]:
-        """Each row's unrounded partial sums over the blocks starting at ``mine``."""
+    def partials(mine: range) -> list[tuple[list[float], float]]:
+        """Each row's unrounded partial sums over the finite rows of the
+        blocks starting at ``mine``, and the IEEE sum of the others."""
         work = np.empty(span + max(rows, scratch) * width)
         sums = [np.zeros(rows)]  # per block and level, one sum per quantity
-        loose: list[list[float]] = [[] for _ in range(rows)]
+        special = [0.0] * rows
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
@@ -213,12 +227,11 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
                 m = (n + 1).bit_length()
                 tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
                 sigmas = []
-                for row, values, top in zip(loose, x, tops):
-                    e = m + math.frexp(top)[1]
-                    if not (math.isfinite(top) and e <= 1023):
-                        row.extend(values.tolist())  # fsum takes these terms,
-                        values[...] = 0.0  # and any finite sigma leaves them 0
-                    sigmas.append(math.ldexp(1.0, min(e, 1023)))
+                for i, (values, top) in enumerate(zip(x, tops)):
+                    if not math.isfinite(top):  # inf or nan decides the sum
+                        special[i] += float(np.add.reduce(values))
+                        values[...] = 0.0
+                    sigmas.append(math.ldexp(1.0, m + math.frexp(top)[1]))
                 scale = 2.0 ** (m - 53)
                 for sigma in np.array([sigmas, [v * scale for v in sigmas]])[:, :, None]:
                     np.add(x, sigma, out=q)
@@ -226,31 +239,18 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
                     np.subtract(x, q, out=x)
                     sums.append(np.add.reduce(q, axis=1))
                 sums.append(np.add.reduce(x, axis=1))
-        return [row + more for row, more in zip(np.transpose(sums).tolist(), loose)]
+        return list(zip(np.transpose(sums).tolist(), special))
 
-    if workers == 1:
-        return [_fsum(row) for row in partials(starts)]
     parts: list = [None] * workers
-    # Left to the scheduler, two workers at times shared one core for a
-    # whole call, slower than one worker (2-vCPU VM, most often after a long
-    # one-thread run such as the sieve).  Where the OS allows it, each worker
-    # keeps to one core of the caller's affinity, which the caller gets back.
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     cores = sorted(mask)
-
-    def keep_to_core(k: int) -> bool:
-        """Keeps the calling thread on one core; False where the OS does not."""
-        if not cores:
-            return False
-        try:
-            os.sched_setaffinity(0, {cores[k % len(cores)]})
-        except OSError:  # e.g. a sandbox that refuses the call: run unpinned
-            return False
-        return True
 
     def run(k: int) -> None:
         try:
-            keep_to_core(k)
+            # Left to the scheduler, two workers at times shared one core for
+            # a whole call, slower than one worker (2-vCPU VM, most often
+            # after a long one-thread run such as the sieve).
+            if workers > 1:
+                _keep_to({cores[k]})
             parts[k] = partials(starts[k::workers])
         except BaseException as error:  # raised again in the caller
             parts[k] = error
@@ -258,32 +258,27 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
     for thread in threads:
         thread.start()
-    pinned = False
-    try:
-        pinned = keep_to_core(0)
-        parts[0] = partials(starts[::workers])
-    finally:
-        for thread in threads:
-            thread.join()
-        if pinned:
-            os.sched_setaffinity(0, mask)
+    run(0)
+    for thread in threads:
+        thread.join()
+    if workers > 1:
+        _keep_to(mask)
     for part in parts:
         if isinstance(part, BaseException):
             raise part
-    return [_fsum([v for part in row for v in part]) for row in zip(*parts)]
+    return [
+        math.fsum(v for finite, _ in row for v in finite)
+        + sum(special for _, special in row)
+        for row in zip(*parts)
+    ]
 
 
-def _fsum(values: list[float]) -> float:
-    """math.fsum, but +-inf where the sum overflows and nan where it holds
-    both infinities, not an exception."""
+def _keep_to(cores: set[int]) -> None:
+    """Keeps the calling thread to ``cores`` where the OS allows it."""
     try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
-        special = [v for v in values if not math.isfinite(v)]
-        exact = sum(special) if special else sum(map(Fraction, values), Fraction(0))
-    if special or abs(exact) < 2**1024 - 2**970:  # inf, nan, or rounds to finite
-        return float(exact)
-    return math.inf if exact > 0 else -math.inf
+        os.sched_setaffinity(0, cores)
+    except (AttributeError, OSError):  # no such call, or a sandbox refuses it
+        pass
 
 
 def _is_real(s: complex) -> bool:
@@ -441,13 +436,17 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
     approximation to the prime zeta function P(s) on Re(s) > 1/2.  P has a
     branch point at s = 1 (the cut in s runs along (1/2, 1]), so s = 1 is
     rejected.  On that cut (real s < 1) E1 is taken from above, so the
-    value is P's limit from above: its imaginary part is -pi there.
+    value is P's limit from above: its imaginary part is -pi there.  Like
+    zeta_ref, it requires Re(s) > 0, where every |p^-s| < 1 and the head
+    sum is finite; further left its terms grow past double range.
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"prime zeta needs a finite argument, got {s}")
     if s == 1:
         raise SingularityError("prime zeta has a branch point at s = 1")
+    if s.real <= 0:
+        raise DomainError(f"prime zeta requires Re(s) > 0, got {s}")
     if table.count == 0 and table.limit < 1:
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
 
@@ -461,10 +460,6 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
             out[0], out[1] = w.real, w.imag
 
     head = complex(*_prime_sums(table.count, rows, terms, scratch=2))
-    if not cmath.isfinite(head):
-        raise EulerProductError(
-            f"truncated prime zeta sum is not finite at s = {s}, x = {table.limit}"
-        )
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z).value  # raises SingularityError when x = 1
 

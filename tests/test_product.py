@@ -2,6 +2,7 @@ import cmath
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +18,6 @@ from eulerprod import product
 from eulerprod import (
     EULER_GAMMA,
     DomainError,
-    EulerProductError,
     ProductVariant,
     SingularFactorError,
     SingularityError,
@@ -65,6 +65,21 @@ def writes(terms):
         out[...] = terms[:, block]
 
     return fill
+
+
+def fake_cores(monkeypatch, n):
+    """Fakes a CPU affinity of ``n`` cores, read by every sum large enough
+    for a second worker, and a pinning call that does nothing.  Returns the
+    list that each read of the affinity appends to."""
+    reads = []
+
+    def affinity(pid):
+        reads.append(pid)
+        return set(range(n))
+
+    monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+    return reads
 
 
 def mpmath_log_raw(s, table, variant):
@@ -223,7 +238,7 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     # values into that worker's one array, so a call, and the second call
     # that finds a dead factor, shows at most two addresses.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    monkeypatch.setattr(product, "_WORKERS", 2)
+    fake_cores(monkeypatch, 2)
     prime_sums = product._prime_sums
     calls = []
 
@@ -337,25 +352,29 @@ def test_prime_sums_exact_at_the_shipped_block_size():
     assert_exact_to_bound(values.tolist())
 
 
-def test_prime_sums_exact_on_subnormals_and_huge_blocks():
-    # Subnormals: sigma is tiny and its second level underflows.  A largest
-    # term of 2^1020 would overflow sigma, so that block goes to fsum.
+def test_prime_sums_exact_on_subnormals():
+    # Subnormals: sigma is tiny and its second level underflows.
     rng = np.random.default_rng(1074)
     n = product._BLOCK_TERMS
     tiny = rng.integers(-1000, 1000, n) * 2.0**-1074
     tiny[::97] = 2.0**-1074
     assert_exact_to_bound(tiny.tolist())
-    huge = rng.choice([-1.0, 1.0], n) * np.exp2(rng.uniform(-60, 60, n))
-    huge[n // 2] = 2.0**1020
-    assert_exact_to_bound(huge.tolist())
 
 
-def test_prime_sums_do_not_raise_on_overflow():
-    # math.fsum raises on both; the sums are +inf and nan.
-    terms = np.array([[1.7e308, 1.7e308], [math.inf, -math.inf]])
-    overflow, both = product._prime_sums(2, 2, writes(terms))
-    assert overflow == math.inf
+def test_prime_sums_do_not_raise_on_overflow(monkeypatch):
+    # math.fsum raises on both infinities; an inf or a nan decides a sum by
+    # IEEE addition, also across blocks and workers.
+    terms = np.array([[math.inf, -math.inf], [math.inf, 1.0]])
+    both, overflow = product._prime_sums(2, 2, writes(terms))
     assert math.isnan(both)
+    assert overflow == math.inf
+    # Blocks of one term, dealt to two workers: each takes one infinity.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 1)
+    fake_cores(monkeypatch, 2)
+    terms = np.concatenate([terms, np.ones((2, 7))], axis=1)
+    both, overflow = product._prime_sums(9, 2, writes(terms))
+    assert math.isnan(both)
+    assert overflow == math.inf
 
 
 # ------------------------------------------------------------------- workers
@@ -378,10 +397,31 @@ def test_worker_count_does_not_change_the_bits(table_1e4, monkeypatch, workers):
         values.append(mertens_ratio(table_1e4))
         return [repr(value) for value in values]
 
-    monkeypatch.setattr(product, "_WORKERS", 1)
+    fake_cores(monkeypatch, 1)
     one = quantities()
-    monkeypatch.setattr(product, "_WORKERS", workers)
+    fake_cores(monkeypatch, workers)
     assert quantities() == one
+
+
+def test_workers_follow_the_affinity_at_call_time(table_1e4, monkeypatch):
+    # Every large sum reads the cores it may use: an affinity that shrinks
+    # to one core sums on the calling thread alone, and two cores make two
+    # workers with the same bits.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    started = []
+    thread = threading.Thread
+
+    def counting(*args, **kwargs):
+        started.append(kwargs["args"])
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counting)
+    reads = fake_cores(monkeypatch, 1)
+    one = log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
+    assert (len(reads), started) == (1, [])
+    reads = fake_cores(monkeypatch, 2)
+    assert repr(log_raw_product(0.8 + 17.0j, table_1e4, ZETA)) == repr(one)
+    assert (len(reads), started) == (1, [(1,)])
 
 
 def test_workers_give_the_caller_its_cpu_affinity_back(table_1e4, monkeypatch):
@@ -389,7 +429,6 @@ def test_workers_give_the_caller_its_cpu_affinity_back(table_1e4, monkeypatch):
     # {4, 6}, and the caller gets its own back whether the call returns or
     # raises.  Where the OS refuses, the sum runs unpinned.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    monkeypatch.setattr(product, "_WORKERS", 2)
     masks = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6}, raising=False)
     monkeypatch.setattr(
@@ -426,7 +465,7 @@ def test_dead_factor_is_the_least_over_all_workers(table_1e4, monkeypatch, s, wo
     # At s = 0 every factor vanishes, so every worker finds one; at 1e-18
     # only prime 2's does.  The search names the least prime either way.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    monkeypatch.setattr(product, "_WORKERS", workers)
+    fake_cores(monkeypatch, workers)
     for variant in (ZETA, INVERSE):
         with pytest.raises(SingularFactorError) as info:
             log_raw_product(s, table_1e4, variant)
@@ -435,15 +474,16 @@ def test_dead_factor_is_the_least_over_all_workers(table_1e4, monkeypatch, s, wo
 
 def test_workers_raise_no_numpy_warning_where_p_s_overflows(table_1e4, monkeypatch):
     # numpy's error state is per thread: each worker sets its own, or p^200
-    # would warn from the second worker.
+    # would warn from the second worker.  Prime zeta refuses these points
+    # before it makes a term.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    monkeypatch.setattr(product, "_WORKERS", 2)
+    fake_cores(monkeypatch, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (-200.0 + 3.0j, -200.0):
             for variant in ProductVariant:
                 assert not cmath.isfinite(log_raw_product(s, table_1e4, variant))
-            with pytest.raises(EulerProductError, match="not finite"):
+            with pytest.raises(DomainError, match="Re\\(s\\) > 0"):
                 prime_zeta_truncated(s, table_1e4)
 
 
@@ -451,7 +491,7 @@ def test_worker_exception_reaches_the_caller(table_1e4, monkeypatch):
     # Blocks are dealt strided, so the second block, primes 19 to 53, is the
     # second worker's.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    monkeypatch.setattr(product, "_WORKERS", 2)
+    fake_cores(monkeypatch, 2)
     prime_powers = product._prime_powers
     second_block = table_1e4.log_primes[7]
     owners = []
@@ -473,8 +513,9 @@ def test_worker_exception_reaches_the_caller(table_1e4, monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_small_calls_start_no_thread(table_1e4, table_1e6, monkeypatch, workers):
     # x = 10^4 is one block and x = 10^6 three: below _BLOCKS_PER_WORKER
-    # blocks for a second worker, so the calling thread sums them alone.
-    monkeypatch.setattr(product, "_WORKERS", workers)
+    # blocks for a second worker, so the calling thread sums them alone and
+    # does not read the affinity.
+    reads = fake_cores(monkeypatch, workers)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a small sum started a thread")
@@ -486,6 +527,25 @@ def test_small_calls_start_no_thread(table_1e4, table_1e6, monkeypatch, workers)
             log_raw_product(s, table, RATIO)
             prime_zeta_truncated(s, table)
         mertens_ratio(table)
+    assert reads == []
+
+
+def test_far_left_sums_hold_no_more_memory_than_the_strip():
+    # Far left nearly every term is inf or nan, and each block's row is
+    # added up in place: the peak stays that of a call in the strip.
+    table = sieve(10**7)
+
+    def peak(s):
+        tracemalloc.start()
+        try:
+            log_raw_product(s, table, ZETA)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    strip = peak(0.75 + 5.0j)
+    for s in (-200.0 + 3.0j, -200.0):
+        assert peak(s) < strip + 2**20
 
 
 # ---------------------------------------------------------- corrected_product
@@ -779,21 +839,19 @@ def test_prime_zeta_branch_point(table_1e3):
 
 @pytest.mark.parametrize("s", [-102.7, -800 + 5j])
 def test_prime_zeta_overflow_is_a_library_error(s):
-    # Far left p^-s overflows: the head sum is +inf (s = -102.7) or holds
-    # both infinities (s = -800 + 5i).
-    with pytest.raises(EulerProductError, match="not finite"):
+    # Far left p^-s overflows (+inf at s = -102.7, both infinities at
+    # -800 + 5i); such points are refused as outside the domain.
+    with pytest.raises(DomainError, match="Re\\(s\\) > 0"):
         prime_zeta_truncated(s, sieve(1000))
 
 
-def test_prime_zeta_large_finite_head_is_exact():
-    # At s = -100 the terms reach 9.9e299 and the sum 9.2478e298 stays
-    # finite: one fsum per part of p^-s from the complex exp, plus E1.
-    table = sieve(1000)
-    w = np.exp(100.0 * table.log_primes.astype(complex))
-    head = complex(math.fsum(w.real.tolist()), math.fsum(w.imag.tolist()))
-    value = prime_zeta_truncated(-100, table)
-    assert value == head + e1(-101.0 * math.log(1000)).value
-    assert abs(value.real / 9.2478e298 - 1.0) < 1e-4
+def test_prime_zeta_needs_positive_real_part(table_1e3):
+    # At Re(s) <= 0 no |p^-s| is below 1, and at s = -100 the terms reach
+    # 9.9e299; just right of the line every term is below 1 again.
+    for s in (-100, 0j, 5j, -1e-300 + 5j):
+        with pytest.raises(DomainError, match="Re\\(s\\) > 0"):
+            prime_zeta_truncated(s, table_1e3)
+    assert cmath.isfinite(prime_zeta_truncated(1e-300 + 5j, table_1e3))
 
 
 # ----------------------------------------------------------------- mertens
