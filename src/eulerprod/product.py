@@ -42,15 +42,17 @@ holds at every s: far left of the half-plane, where terms are inf or nan,
 a block's row of them is added up in place, and an inf or a nan decides
 the sum by IEEE addition.  A sum has one worker, the calling thread,
 unless it spans at least _BLOCKS_PER_WORKER blocks per worker: on two
-cores, from x of about 3.2 million (8 blocks).  Then its blocks are dealt
-to one worker per core the process may use at the time of the call (see
-_prime_sums), and every block's partial sums still reach one exact
-math.fsum, so the bits do not depend on the number of cores.  The result is
-within 2^-53 |sum| + n 2^-104 sum |term| of the exact sum of n terms; it
-equals one math.fsum over all terms unless that sum lies within about
-n 2^-104 sum |term| of a rounding boundary.  Every finite term must stay
-far below double range (see _prime_sums), so prime_zeta_truncated, whose
-terms are p^-s, refuses Re(s) <= 0 as zeta_ref does.
+cores, from x of about 3.2 million (8 blocks).  Then a thread pool sums
+its blocks, one worker per core the process may use at the time of the
+call, each kept to its core, while the calling thread waits with its own
+affinity unchanged (see _prime_sums).  Every block's partial sums still
+reach one exact math.fsum, so the bits do not depend on the number of
+cores.  The result is within 2^-53 |sum| + n 2^-104 sum |term| of the
+exact sum of n terms; it equals one math.fsum over all terms unless that
+sum lies within about n 2^-104 sum |term| of a rounding boundary.  Every
+finite term must stay far below double range (see _prime_sums), so
+prime_zeta_truncated, whose terms are p^-s, refuses Re(s) <= 0 as
+zeta_ref does.
 
 Each term log(1 + u), with u = +-p^-s = a + ib, is made as
 log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
@@ -69,7 +71,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,8 +113,8 @@ _SHAPE = {
 #: Primes per block of the per-prime sums: each worker's work array takes
 #: 512 KiB (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU
 #: VM, 4 MiB L2), 2^15 made the fastest real and complex calls at x = 10^6
-#: and real ones at 10^7; ``decay`` up to 10^8 peaked at 127 MB, as with
-#: 2^14 (both with the int64 prime table of the time).
+#: and real ones at 10^7; ``decay`` up to 10^8 peaked no higher than
+#: with 2^14.
 _BLOCK_TERMS = 1 << 15
 
 #: A sum takes W workers only with at least this many blocks per worker.
@@ -179,16 +180,17 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
 
     A call of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
     thread.  A larger one reads the caller's CPU affinity once and deals
-    its blocks, strided, to W workers: the calling thread and W - 1
-    threads, W the most of the affinity's cores that leaves each worker
-    _BLOCKS_PER_WORKER blocks or more.  Each worker keeps to one of those
-    cores for the call, where the OS allows it, and the caller gets its
-    affinity back.  numpy releases the GIL for a block's passes, so the
-    workers run at once; ``terms`` may be called from any of them.  Each
-    block's sums are the same whichever worker makes them, and all reach
-    one final math.fsum unrounded, which is exact and so independent of
-    their order: the bits do not depend on W.  An exception in a worker is
-    raised in the caller.
+    its blocks, strided, to W shares, W the most of the affinity's cores
+    that leaves each share _BLOCKS_PER_WORKER blocks or more.  With W > 1 a
+    pool of W threads sums the shares, each thread kept to its own core of
+    the affinity where the OS allows it, and the calling thread only waits:
+    its affinity is never changed.  numpy releases the GIL for a block's
+    passes, so the workers run at once; ``terms`` may be called from any
+    of them.  Each block's sums are the same whichever worker makes them,
+    and all reach one final math.fsum unrounded, which is exact and so
+    independent of their order: the bits do not depend on W.  The first
+    failing share's exception, in share order, is raised in the caller
+    once every pool thread has ended.
 
     For n terms below 2^e, sigma = 2^(m+e) splits each x exactly into
     q = (x + sigma) - sigma, a multiple of 2^-53 sigma, and x - q.  The q
@@ -208,11 +210,12 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     workers = max(1, min(len(mask), len(starts) // _BLOCKS_PER_WORKER))
     width = min(count, _BLOCK_TERMS)
     span = rows * width
+    size = span + max(rows, scratch) * width
 
-    def partials(mine: range) -> list[tuple[list[float], float]]:
+    def partials(mine: range, work: np.ndarray) -> list[tuple[list[float], float]]:
         """Each row's unrounded partial sums over the finite rows of the
-        blocks starting at ``mine``, and the IEEE sum of the others."""
-        work = np.empty(span + max(rows, scratch) * width)
+        blocks starting at ``mine``, and the IEEE sum of the others, made
+        in ``work`` (``size`` floats)."""
         sums = [np.zeros(rows)]  # per block and level, one sum per quantity
         special = [0.0] * rows
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
@@ -241,31 +244,26 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
                 sums.append(np.add.reduce(x, axis=1))
         return list(zip(np.transpose(sums).tolist(), special))
 
-    parts: list = [None] * workers
-    cores = sorted(mask)
+    if workers == 1:
+        parts = [partials(starts, np.empty(size))]
+    else:
+        # concurrent.futures imports logging, which only a large sum pays for.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def run(k: int) -> None:
-        try:
-            # Left to the scheduler, two workers at times shared one core for
-            # a whole call, slower than one worker (2-vCPU VM, most often
-            # after a long one-thread run such as the sieve).
-            if workers > 1:
-                _keep_to({cores[k]})
-            parts[k] = partials(starts[k::workers])
-        except BaseException as error:  # raised again in the caller
-            parts[k] = error
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if workers > 1:
-        _keep_to(mask)
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
+        # Left to the scheduler, two workers at times shared one core for a
+        # whole call, slower than one worker (2-vCPU VM, most often after a
+        # long one-thread run such as the sieve): each pool thread keeps to
+        # the next core of the affinity.
+        cores = iter(sorted(mask))
+        shares = [starts[k::workers] for k in range(workers)]
+        # Made here, the work arrays reuse the calling thread's freed heap;
+        # made in each pool thread's own malloc arena, they took fresh pages
+        # (decay up to 10^8 grew VmHWM by 74.2-74.3 MiB, not 70.7-71.9).
+        works = [np.empty(size) for _ in shares]
+        with ThreadPoolExecutor(
+            workers, initializer=lambda: _keep_to({next(cores)})
+        ) as pool:
+            parts = list(pool.map(partials, shares, works))
     return [
         math.fsum(v for finite, _ in row for v in finite)
         + sum(special for _, special in row)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 from .errors import DomainError, PoleProximityError
 
@@ -37,29 +37,22 @@ _ETA_ZERO_OFFSET = 1e-4
 
 
 @cache
-def _weights() -> tuple[float, ...]:
-    # w_k = (d_n - d_k) / d_n with d_k = n * sum_{j<=k} (n+j-1)! 4^j / ((n-j)! (2j)!),
-    # n = _TERMS.  Computed exactly in rationals (the d_k are integers) and
-    # rounded once.
+def _weights() -> tuple[tuple[float, float], ...]:
+    # ((-1)^k w_k, log(k + 1)) for k < n = _TERMS, with w_k = (d_n - d_k) / d_n
+    # and d_k = sum_{j<=k} n (n+j-1)! 4^j / ((n-j)! (2j)!), a sum of integers.
+    # Each w_k is one int / int, rounded once.
     n = _TERMS
-    d = []
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += Fraction(
-            math.factorial(n + j - 1) * 4**j,
-            math.factorial(n - j) * math.factorial(2 * j),
-        )
-        d.append(n * acc)
-    dn = d[n]
-    return tuple(float(Fraction(dn - dk, dn)) for dk in d[:n])
+    f = math.factorial
+    d = list(
+        accumulate(n * f(n + j - 1) * 4**j // (f(n - j) * f(2 * j)) for j in range(n + 1))
+    )
+    return tuple(((-1) ** k * (d[n] - d[k]) / d[n], math.log(k + 1)) for k in range(n))
 
 
 def _eta_series(s: complex) -> complex:
     total = 0.0 + 0.0j
-    sign = 1.0
-    for k, w in enumerate(_weights()):
-        total += sign * w * cmath.exp(-s * math.log(k + 1))
-        sign = -sign
+    for w, log_n in _weights():
+        total += w * cmath.exp(-s * log_n)
     return total
 
 

@@ -302,6 +302,18 @@ def run_process(*argv, code=None):
     )
 
 
+def test_importing_the_cli_loads_no_pool_logging_or_fractions():
+    # Only a sum large enough for a thread pool imports concurrent.futures,
+    # and with it logging; zeta_ref's weights need no fractions.  The CLI's
+    # start-up pays for none of them.
+    proc = run_process(code=(
+        "import sys, eulerprod.cli\n"
+        "print(*(m in sys.modules for m in ('concurrent.futures', 'logging', 'fractions')))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 3
+
+
 FAULTS_OF_MAIN = """
 import resource, sys
 from eulerprod import cli

@@ -18,6 +18,7 @@ from eulerprod import product
 from eulerprod import (
     EULER_GAMMA,
     DomainError,
+    EulerProductError,
     ProductVariant,
     SingularFactorError,
     SingularityError,
@@ -80,6 +81,21 @@ def fake_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
     return reads
+
+
+def record_pins(monkeypatch, threads):
+    """Records each pin of a thread to cores as (thread, mask).  Each pin
+    waits until ``threads`` threads have pinned, so every share of a sum has
+    its own pool thread however fast the first share runs."""
+    pins = []
+    barrier = threading.Barrier(threads, timeout=10)
+
+    def pin(pid, mask):
+        pins.append((threading.current_thread(), set(mask)))
+        barrier.wait()
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    return pins
 
 
 def mpmath_log_raw(s, table, variant):
@@ -406,51 +422,46 @@ def test_worker_count_does_not_change_the_bits(table_1e4, monkeypatch, workers):
 def test_workers_follow_the_affinity_at_call_time(table_1e4, monkeypatch):
     # Every large sum reads the cores it may use: an affinity that shrinks
     # to one core sums on the calling thread alone, and two cores make two
-    # workers with the same bits.
+    # pinned pool threads with the same bits.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    started = []
-    thread = threading.Thread
-
-    def counting(*args, **kwargs):
-        started.append(kwargs["args"])
-        return thread(*args, **kwargs)
-
-    monkeypatch.setattr(threading, "Thread", counting)
     reads = fake_cores(monkeypatch, 1)
+    pins = record_pins(monkeypatch, 2)
     one = log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
-    assert (len(reads), started) == (1, [])
+    assert (len(reads), pins) == (1, [])
     reads = fake_cores(monkeypatch, 2)
+    pins = record_pins(monkeypatch, 2)
     assert repr(log_raw_product(0.8 + 17.0j, table_1e4, ZETA)) == repr(one)
-    assert (len(reads), started) == (1, [(1,)])
+    assert len(reads) == 1
+    assert len({thread for thread, _ in pins}) == 2
+    assert threading.current_thread() not in {thread for thread, _ in pins}
 
 
-def test_workers_give_the_caller_its_cpu_affinity_back(table_1e4, monkeypatch):
-    # Each worker keeps to one core of the caller's affinity, here a fake
-    # {4, 6}, and the caller gets its own back whether the call returns or
-    # raises.  Where the OS refuses, the sum runs unpinned.
+def test_the_caller_never_changes_its_cpu_affinity(table_1e4, monkeypatch):
+    # Each pool thread keeps to its own core of the caller's affinity, here
+    # a fake {4, 6}, and the calling thread never pins, whether the sum
+    # returns or raises.  Where the OS refuses, the sum runs unpinned.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
-    masks = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6}, raising=False)
-    monkeypatch.setattr(
-        os,
-        "sched_setaffinity",
-        lambda pid, mask: masks.append((threading.current_thread(), set(mask))),
-        raising=False,
-    )
+    pins = record_pins(monkeypatch, 2)
     caller = threading.current_thread()
+
+    def pool_pins():
+        assert caller not in {thread for thread, _ in pins}
+        assert len({thread for thread, _ in pins}) == 2
+        return sorted(tuple(mask) for _, mask in pins)
+
     value = log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
-    assert [mask for thread, mask in masks if thread is caller] == [{4}, {4, 6}]
-    assert [mask for thread, mask in masks if thread is not caller] == [{6}]
+    assert pool_pins() == [(4,), (6,)]
 
     def failing(s, log_primes, out):
         raise RuntimeError("every block")
 
     with monkeypatch.context() as patch:
         patch.setattr(product, "_prime_powers", failing)
-        masks.clear()
+        pins.clear()
         with pytest.raises(RuntimeError, match="every block"):
             log_raw_product(0.8 + 17.0j, table_1e4, ZETA)
-    assert [mask for thread, mask in masks if thread is caller] == [{4}, {4, 6}]
+    assert pool_pins() == [(4,), (6,)]
 
     def refuse(pid, mask):
         raise PermissionError("sched_setaffinity refused")
@@ -488,25 +499,31 @@ def test_workers_raise_no_numpy_warning_where_p_s_overflows(table_1e4, monkeypat
 
 
 def test_worker_exception_reaches_the_caller(table_1e4, monkeypatch):
-    # Blocks are dealt strided, so the second block, primes 19 to 53, is the
-    # second worker's.
+    # Blocks are dealt strided, so block 0, primes 2 to 17, is the first
+    # share's and block 1, primes 19 to 53, the second's.  Either share's
+    # exception reaches the caller, and no pool thread outlives the call:
+    # when the first share fails, the second is still summing.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     fake_cores(monkeypatch, 2)
+    record_pins(monkeypatch, 2)
     prime_powers = product._prime_powers
-    second_block = table_1e4.log_primes[7]
     owners = []
+    threads = threading.active_count()
+    for block in (0, 1):
+        first = table_1e4.log_primes[7 * block]
 
-    def failing(s, log_primes, out):
-        if log_primes[0] == second_block:
-            owners.append(threading.current_thread())
-            raise RuntimeError("second block")
-        prime_powers(s, log_primes, out)
+        def failing(s, log_primes, out):
+            if log_primes[0] == first:
+                owners.append(threading.current_thread())
+                raise RuntimeError(f"block {block}")
+            prime_powers(s, log_primes, out)
 
-    monkeypatch.setattr(product, "_prime_powers", failing)
-    for s in (0.8, 0.8 + 17.0j):
-        with pytest.raises(RuntimeError, match="second block"):
-            log_raw_product(s, table_1e4, ZETA)
-    assert len(owners) == 2
+        monkeypatch.setattr(product, "_prime_powers", failing)
+        for s in (0.8, 0.8 + 17.0j):
+            with pytest.raises(RuntimeError, match=f"block {block}"):
+                log_raw_product(s, table_1e4, ZETA)
+            assert threading.active_count() == threads
+    assert len(owners) == 4
     assert threading.main_thread() not in owners
 
 
@@ -748,7 +765,9 @@ def test_corrected_product_matches_mpmath(
     # correction by 2^-53 |correction|; their sum is the value's relative
     # error.  The E1 wedge next to the cut once made this 54 times as large.
     s = complex(sigma, t)
-    assume(s != 1)
+    # Within 1e-300 of s = 1 zeta(s) ~ 1/(s - 1) is beyond double range, and
+    # the zeta product rightly refuses (see the test after this one).
+    assume(abs(s - 1) > 1e-300)
     table = {10**2: table_1e2, 10**3: table_1e3, 10**4: table_1e4}[x]
     value = corrected_product(s, table, variant, order).value
     coeff, sign = SHAPES[variant]
@@ -771,6 +790,18 @@ def test_corrected_product_matches_mpmath(
             np.sum(np.abs(np.log1p(sign * power)) + abs(s) * table.log_primes * np.abs(power))
         ) + abs(complex(correction))
     assert abs(value - ref) <= 8 * 2.0**-53 * scale * abs(ref)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_zeta_product_overflows_next_to_its_pole(table_1e2, table_1e3, table_1e4, order):
+    # At s = 1 + 2.2e-311i, zeta(s) ~ 1/(s - 1) lies beyond double range: the
+    # zeta product refuses, and its inverse and the ratio are tiny instead.
+    s = 1 + 2.225073858507e-311j
+    for table in (table_1e2, table_1e3, table_1e4):
+        with pytest.raises(EulerProductError, match="overflows double precision"):
+            corrected_product(s, table, ZETA, order)
+        for variant in (INVERSE, RATIO):
+            assert 0 < abs(corrected_product(s, table, variant, order).value) < 1e-300
 
 
 # ------------------------------------------------------------- prime zeta

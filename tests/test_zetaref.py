@@ -1,10 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from eulerprod import DomainError, PoleProximityError, zeta_ref
+from eulerprod.zetaref import _TERMS, _weights
 
 LN2 = math.log(2.0)
 
@@ -34,6 +36,20 @@ def test_zeta_three_against_direct_sum():
     value = zeta_ref(3.0 + 0.0j)
     assert abs(value - oracle) / oracle < 1e-12
     assert abs(value - 1.2020569031595943) < 1e-13
+
+
+def test_weights_are_the_exact_rationals_rounded_once():
+    # w_k = (d_n - d_k) / d_n, d_k = n sum_{j<=k} (n+j-1)! 4^j / ((n-j)! (2j)!),
+    # in exact rationals; the table pairs (-1)^k w_k with log(k + 1).
+    n = _TERMS
+    d, acc = [], Fraction(0)
+    for j in range(n + 1):
+        acc += Fraction(
+            math.factorial(n + j - 1) * 4**j, math.factorial(n - j) * math.factorial(2 * j)
+        )
+        d.append(n * acc)
+    expected = [((-1) ** k * float((d[n] - d[k]) / d[n]), math.log(k + 1)) for k in range(n)]
+    assert list(_weights()) == expected
 
 
 def test_real_axis_realness_and_sign():
