@@ -33,11 +33,12 @@ extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
 faithful rounding", SIAM J. Sci. Comput. 31(1), 2008; see _prime_sums).
 The terms are made in blocks of _BLOCK_TERMS primes, one contiguous row per
 quantity.  Each sum allocates one work array per worker (see _BLOCK_TERMS
-for its size), and every block writes its p^-s, its terms, their
-intermediate values and the extraction into views of its worker's: no block
-allocates an array, a deep table never holds more than one block of terms
-per worker, and a scan's rows do not fault in fresh pages (scan-line over
-197 complex rows at x = 10^6 took about 1,300 minor page faults).  That
+for its size), and every block writes its terms into one half of its
+worker's, and its p^-s, their intermediate values and the extraction into
+the other, of the same shape: no block allocates an array, a deep table
+never holds more than one block of terms per worker, and a scan's rows do
+not fault in fresh pages (scan-line over 197 complex rows at x = 10^6 took
+about 1,300 minor page faults).  That
 holds at every s: far left of the half-plane, where terms are inf or nan,
 a block's row of them is added up in place, and an inf or a nan decides
 the sum by IEEE addition.  A sum has one worker, the calling thread,
@@ -54,16 +55,18 @@ finite term must stay far below double range (see _prime_sums), so
 prime_zeta_truncated, whose terms are p^-s, refuses Re(s) <= 0 as
 zeta_ref does.
 
-Each term log(1 + u), with u = +-p^-s = a + ib, is made as
-log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0 every p^-s
-is real and in (0, 1], so _prime_powers makes it with a real exp, each term
-is log1p(u), made in place, and the imaginary part is exactly 0.  Every
-other s takes the complex formula.  Both formulas are equally close to a
-30-digit mpmath sum (within 1.9 * 2^-53 sum |term| at x = 10^4, 9 values of
-s from 0.51 to 5), but they round differently, and numpy's real exp and the
-real part of its complex exp can differ in the last bit, so a real-axis log
-sum may differ from the complex formula's by up to 2 ulp (measured on 540
-points at x = 10^4 and 10^6).
+Each term of log_raw_product, log(1 + u) with u = +-p^-s = a + ib, is
+made as log1p(2a + a^2 + b^2)/2 + i arctan2(b, 1 + a).  For real s > 0
+every p^-s is real and in (0, 1], so log_raw_product makes it with a real
+exp, each term is log1p(u), made in place, and the imaginary part is
+exactly 0.  Every other s takes the complex formula.  Both formulas are
+equally close to a 30-digit mpmath sum (within 1.9 * 2^-53 sum |term| at
+x = 10^4, 9 values of s from 0.51 to 5), but they round differently, and
+numpy's real exp and the real part of its complex exp can differ in the
+last bit, so a real-axis log sum may differ from the complex formula's by
+up to 2 ulp (measured on 540 points at x = 10^4 and 10^6).
+prime_zeta_truncated has no real path: it sums p^-s from the complex exp
+at every s.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ _SHAPE = {
 }
 
 #: Primes per block of the per-prime sums: each worker's work array takes
-#: 512 KiB (real) or 1.25 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU
+#: 512 KiB (real) or 1 MiB (complex).  Swept from 2^13 to 2^17 (2-vCPU
 #: VM, 4 MiB L2), 2^15 made the fastest real and complex calls at x = 10^6
 #: and real ones at 10^7; ``decay`` up to 10^8 peaked no higher than
 #: with 2^14.
@@ -160,14 +163,14 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
+def _prime_sums(count: int, rows: int, terms) -> list[float]:
     """Sums of ``count`` per-prime terms in ``rows`` quantities.
 
     ``terms(block, out, work)`` writes the terms of ``block``, a slice of
     range(count), into ``out``, shape (rows, len(block)): one contiguous row
-    per quantity.  ``work`` holds ``scratch`` floats per term for its own
-    use; both are views of one work array per worker.  Returns one sum per
-    quantity; no terms sum to 0.
+    per quantity.  ``work``, of ``out``'s shape and as contiguous, is
+    ``terms``'s own until it returns; both are the two halves of one work
+    array per worker.  Returns one sum per quantity; no terms sum to 0.
 
     Every finite term of a block of n must lie below 2^(1023-m), where m is
     the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
@@ -210,12 +213,11 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
     workers = max(1, min(len(mask), len(starts) // _BLOCKS_PER_WORKER))
     width = min(count, _BLOCK_TERMS)
     span = rows * width
-    size = span + max(rows, scratch) * width
 
     def partials(mine: range, work: np.ndarray) -> list[tuple[list[float], float]]:
         """Each row's unrounded partial sums over the finite rows of the
         blocks starting at ``mine``, and the IEEE sum of the others, made
-        in ``work`` (``size`` floats)."""
+        in ``work`` (2 ``span`` floats)."""
         sums = [np.zeros(rows)]  # per block and level, one sum per quantity
         special = [0.0] * rows
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
@@ -226,7 +228,7 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
                 n = min(_BLOCK_TERMS, count - start)
                 x = work[: rows * n].reshape(rows, n)
                 q = work[span : span + rows * n].reshape(rows, n)
-                terms(slice(start, start + n), x, work[span : span + scratch * n])
+                terms(slice(start, start + n), x, q)
                 m = (n + 1).bit_length()
                 tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
                 sigmas = []
@@ -245,7 +247,7 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
         return list(zip(np.transpose(sums).tolist(), special))
 
     if workers == 1:
-        parts = [partials(starts, np.empty(size))]
+        parts = [partials(starts, np.empty(2 * span))]
     else:
         # concurrent.futures imports logging, which only a large sum pays for.
         from concurrent.futures import ThreadPoolExecutor
@@ -259,7 +261,7 @@ def _prime_sums(count: int, rows: int, terms, scratch: int = 0) -> list[float]:
         # Made here, the work arrays reuse the calling thread's freed heap;
         # made in each pool thread's own malloc arena, they took fresh pages
         # (decay up to 10^8 grew VmHWM by 74.2-74.3 MiB, not 70.7-71.9).
-        works = [np.empty(size) for _ in shares]
+        works = [np.empty(2 * span) for _ in shares]
         with ThreadPoolExecutor(
             workers, initializer=lambda: _keep_to({next(cores)})
         ) as pool:
@@ -277,11 +279,6 @@ def _keep_to(cores: set[int]) -> None:
         os.sched_setaffinity(0, cores)
     except (AttributeError, OSError):  # no such call, or a sandbox refuses it
         pass
-
-
-def _is_real(s: complex) -> bool:
-    """Whether s takes the real path: real s > 0 makes every p^-s real."""
-    return s.imag == 0.0 and s.real > 0.0
 
 
 def _prime_powers(s: complex, log_primes: np.ndarray, out: np.ndarray) -> None:
@@ -320,25 +317,26 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
     def complex_terms(block, out, work):
         # log(1 + u) for u = sign * p^-s = a + ib, written so the real part
         # goes through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
-        # im = arg(1+u).  p^-s is made in ``work``, x over its spent real parts.
-        n = out.shape[1]
-        w = work[: 2 * n].view(np.complex128)
+        # im = arg(1+u).  p^-s is made in ``work``, a and b in ``out``'s rows,
+        # and then ``work``'s rows hold b^2 and x.
+        w = work.reshape(-1).view(np.complex128)
         _prime_powers(s, table.log_primes[block], w)
-        a, b, x = work[2 * n :], out[0], work[:n]
+        (a, b), (bb, x) = out, work
         np.multiply(sign, w.real, out=a)
         np.multiply(sign, w.imag, out=b)
+        np.multiply(b, b, out=bb)
         np.add(1.0, a, out=x)
-        np.arctan2(b, x, out=out[1])
+        np.arctan2(b, x, out=b)
         np.multiply(2.0, a, out=x)
         np.multiply(a, a, out=a)
         np.add(x, a, out=x)
-        np.multiply(b, b, out=b)
-        np.add(x, b, out=x)
+        np.add(x, bb, out=x)
         np.log1p(x, out=x)
-        np.multiply(0.5, x, out=out[0])
+        np.multiply(0.5, x, out=a)
 
-    terms, rows, scratch = (real_terms, 1, 0) if _is_real(s) else (complex_terms, 2, 3)
-    sums = _prime_sums(table.count, rows, terms, scratch)
+    real = s.imag == 0.0 and s.real > 0.0  # every p^-s is real
+    terms, rows = (real_terms, 1) if real else (complex_terms, 2)
+    sums = _prime_sums(table.count, rows, terms)
     if sums[0] == -math.inf:
         # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or
         # nan.  The same terms, made again, show which it was.
@@ -350,7 +348,7 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
             if hits.size:  # blocks may come in any order: keep every first hit
                 dead.append(block.start + int(hits[0]))
 
-        _prime_sums(table.count, rows, find_dead, scratch)
+        _prime_sums(table.count, rows, find_dead)
         if dead:
             p = int(table.primes[min(dead)])
             raise SingularFactorError(
@@ -436,7 +434,9 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
     rejected.  On that cut (real s < 1) E1 is taken from above, so the
     value is P's limit from above: its imaginary part is -pi there.  Like
     zeta_ref, it requires Re(s) > 0, where every |p^-s| < 1 and the head
-    sum is finite; further left its terms grow past double range.
+    sum is finite; further left its terms grow past double range.  The
+    head is made from the complex exp at every s; at real s every p^-s has
+    imaginary part 0, so the value's is E1's: 0 right of 1, -pi on the cut.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -448,16 +448,13 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
     if table.count == 0 and table.limit < 1:
         raise SingularityError("prime zeta truncation needs a limit of at least 1")
 
-    rows = 1 if _is_real(s) else 2
-
     def terms(block, out, work):
-        # p^-s: one real row, or complex values made in ``work`` and split.
-        w = out[0] if rows == 1 else work.view(np.complex128)
+        # p^-s, made complex in ``work`` and split into ``out``'s two rows.
+        w = work.reshape(-1).view(np.complex128)
         _prime_powers(s, table.log_primes[block], w)
-        if rows == 2:
-            out[0], out[1] = w.real, w.imag
+        out[0], out[1] = w.real, w.imag
 
-    head = complex(*_prime_sums(table.count, rows, terms, scratch=2))
+    head = complex(*_prime_sums(table.count, 2, terms))
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z).value  # raises SingularityError when x = 1
 

@@ -250,23 +250,25 @@ def test_blocked_prime_sums_agree_with_one_block(table_1e4, monkeypatch):
 
 def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     # Blocks of 7 split the 1229 primes into 176, dealt to two workers.
-    # Every block a worker takes writes its terms and their intermediate
-    # values into that worker's one array, so a call, and the second call
-    # that finds a dead factor, shows at most two addresses.
+    # Every block a worker takes writes its terms into one half of that
+    # worker's one array and their intermediate values into the other, of
+    # the same shape, so a call, and the second call that finds a dead
+    # factor, shows at most two addresses.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     fake_cores(monkeypatch, 2)
     prime_sums = product._prime_sums
     calls = []
 
-    def spy(count, rows, terms, scratch=0):
+    def spy(count, rows, terms):
         addresses = []
 
         def recording(block, out, work):
+            assert work.shape == out.shape
             addresses.append((out.ctypes.data, work.ctypes.data))
             terms(block, out, work)
 
         calls.append(addresses)
-        return prime_sums(count, rows, recording, scratch)
+        return prime_sums(count, rows, recording)
 
     monkeypatch.setattr(product, "_prime_sums", spy)
     log_raw_product(0.8, table_1e4, ZETA)
@@ -565,6 +567,19 @@ def test_far_left_sums_hold_no_more_memory_than_the_strip():
         assert peak(s) < strip + 2**20
 
 
+def test_complex_sum_holds_one_mib_work_array(table_1e6):
+    # A complex call's work array is two rows of terms and two rows shaped
+    # like them: 1 MiB at the shipped block size.  Measured 1,157 KiB at
+    # its peak; an array of 1.25 MiB would not fit.
+    tracemalloc.start()
+    try:
+        log_raw_product(0.75 + 5.0j, table_1e6, ZETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
+
+
 # ---------------------------------------------------------- corrected_product
 
 
@@ -856,6 +871,22 @@ def test_prime_zeta_against_mobius_oracle(table_1e5, table_1e6):
     # 1.9e-2 at x = 1e5 and 7.4e-3 at x = 1e6.
     assert abs(prime_zeta_truncated(0.7 + 0.0j, table_1e5) - oracle) < 2.5e-2
     assert abs(prime_zeta_truncated(0.7 + 0.0j, table_1e6) - oracle) < 1e-2
+
+
+def test_prime_zeta_head_matches_mpmath(table_1e4):
+    # The head, the value less its E1 term, against a 30-digit sum of
+    # p^-s: measured within 1.0e-14 relative, and exact at real s.
+    log_x = math.log(table_1e4.limit)
+    for s in (0.05 + 3j, 0.3, 0.7, 2.0, 0.7 + 9j, 0.55 - 40j, 1.5 + 100j):
+        value = prime_zeta_truncated(s, table_1e4)
+        head = value - e1((s - 1) * log_x).value
+        with mpmath.workdps(30):
+            exact = complex(
+                mpmath.fsum(mpmath.mpf(int(p)) ** -mpmath.mpc(s) for p in table_1e4.primes)
+            )
+        assert abs(head - exact) < 1e-13 * abs(exact), s
+        if s.imag == 0.0:  # E1's imaginary part: 0 right of 1, -pi on the cut
+            assert value.imag == (0.0 if s.real > 1 else -math.pi)
 
 
 def test_prime_zeta_truncation_one_is_singular():
