@@ -16,6 +16,11 @@ value, ``error:<Type>`` marks a grid point whose evaluation failed.
 Every product value comes from eulerprod.experiments.evaluate, at
 correction order 2: the paper's E1 factor plus the prime-square term on
 1/2 < Re(s) < 1 (see eulerprod.product and EXPERIMENT_ORDER there).
+
+Each subparser binds its runner as ``run`` (the two scans also their
+ScanMode as ``mode``), and main calls ``args.run(args)``.  A ValueError
+from a runner, or the sieve's ResourceLimitError for an x above its cap,
+is a usage error (exit 2); any other EulerProductError exits 1.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, EulerProductError, ResourceLimitError
 from .experiments import ScanMode, ScanRow, ScanSpec, error_decay, evaluate, scan
-from .primes import DEFAULT_MAX_LIMIT, sieve
+from .primes import sieve
 from .product import ProductVariant, mertens_ratio
 from .specfun import BranchSide, e1
 
@@ -35,11 +40,8 @@ CSV_HEADER = "sigma,t,x,re_value,im_value,re_ref,im_ref,abs_err,rel_err,flags"
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
+    # .17g prints an int below 2^53, such as x, exactly as str does.
+    return "" if value is None else f"{value:.17g}"
 
 
 def _row_line(row: ScanRow) -> str:
@@ -71,17 +73,13 @@ def _finite_float(text: str) -> float:
 
 def _truncation(text: str) -> int:
     """argparse type for --x: an integer of at least 2, so p <= x has a prime
-    and log x > 0, and at most the sieve's DEFAULT_MAX_LIMIT."""
+    and log x > 0.  The sieve refuses an x above its cap (see main)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
-    if value > DEFAULT_MAX_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {DEFAULT_MAX_LIMIT}, got {text!r}"
-        )
     return value
 
 
@@ -113,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--x", type=_truncation, default=1000, help="truncation limit (primes <= x)"
     )
     _add_common(p)
+    p.set_defaults(run=_run_eval)
 
     p = sub.add_parser("scan-real", help="scan real s between s-min and s-max")
     p.add_argument("--s-min", type=_finite_float, required=True)
@@ -120,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p)
+    p.set_defaults(run=_run_scan, mode=ScanMode.REAL_AXIS)
 
     p = sub.add_parser("scan-line", help="scan up the vertical line Re(s) = sigma")
     p.add_argument("--sigma", type=_finite_float, required=True)
@@ -128,10 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p)
+    p.set_defaults(run=_run_scan, mode=ScanMode.VERTICAL_LINE)
 
     p = sub.add_parser("mertens", help="ratio of the s = 1 product to e^gamma log x")
     p.add_argument("--x", type=_truncation, default=1000)
     _add_common(p, variant=False)
+    p.set_defaults(run=_run_mertens)
 
     p = sub.add_parser("decay", help="fit the error-decay exponent across truncations")
     p.add_argument("--sigma", type=_finite_float, required=True)
@@ -142,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ascending truncation limits",
     )
     _add_common(p)
+    p.set_defaults(run=_run_decay)
 
     p = sub.add_parser("e1", help="evaluate the exponential integral E1 at one point")
     p.add_argument("--re", type=_finite_float, required=True)
@@ -155,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="side of the branch cut used for on-cut E1 arguments",
     )
     _add_common(p, variant=False)
+    p.set_defaults(run=_run_e1)
 
     return parser
 
@@ -165,13 +169,12 @@ def _run_eval(args) -> list[ScanRow]:
 
 
 def _run_scan(args) -> list[ScanRow]:
-    if args.command == "scan-real":
-        mode, bounds = ScanMode.REAL_AXIS, dict(s_min=args.s_min, s_max=args.s_max)
+    if args.mode is ScanMode.REAL_AXIS:
+        bounds = dict(s_min=args.s_min, s_max=args.s_max)
     else:
-        mode = ScanMode.VERTICAL_LINE
         bounds = dict(sigma=args.sigma, t_min=args.t, t_max=args.t_max)
     variant = ProductVariant(args.variant)
-    spec = ScanSpec(mode=mode, x=args.x, step=args.step, variant=variant, **bounds)
+    spec = ScanSpec(mode=args.mode, x=args.x, step=args.step, variant=variant, **bounds)
     return scan(spec, sieve(args.x))
 
 
@@ -192,12 +195,6 @@ def _run_decay(args) -> list[ScanRow]:
     except DomainError as exc:
         # Re(s) <= 1/2, refused before any sieving like a bad grid.
         raise ValueError(str(exc)) from None
-    except ResourceLimitError:
-        # error_decay checks the grid's shape first, then sieves to its
-        # largest entry, which refuses a limit above the cap before any work.
-        raise ValueError(
-            f"--x-grid entries must be at most {DEFAULT_MAX_LIMIT}, got {x_grid[-1]}"
-        ) from None
     print(
         f"decay fit: slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
         f"target={0.5 - args.sigma:.6f} points={len(fit.x_grid)}",
@@ -212,24 +209,13 @@ def _run_e1(args) -> list[ScanRow]:
     return [ScanRow(args.re, args.im, None, result.value, None, None, None, flags)]
 
 
-_RUNNERS = {
-    "eval": _run_eval,
-    "scan-real": _run_scan,
-    "scan-line": _run_scan,
-    "mertens": _run_mertens,
-    "decay": _run_decay,
-    "e1": _run_e1,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        rows = _RUNNERS[args.command](args)
-    except ValueError as exc:
-        # Bad flag combinations (empty ranges, unparsable grids) are usage
-        # errors; numerical failures exit 1 below.
+        rows = args.run(args)
+    except (ValueError, ResourceLimitError) as exc:
+        # Bad flag combinations (empty ranges, unparsable grids, x above the
+        # sieve's cap) are usage errors; numerical failures exit 1 below.
         print(f"eulerprod: usage error: {exc}", file=sys.stderr)
         return 2
     except EulerProductError as exc:

@@ -10,7 +10,10 @@ class EulerProductError(Exception):
 
 
 class ResourceLimitError(EulerProductError):
-    """Requested sieve limit exceeds the sieve's maximum, DEFAULT_MAX_LIMIT."""
+    """Requested sieve limit exceeds the sieve's maximum, DEFAULT_MAX_LIMIT.
+
+    The CLI reports it as a usage error (exit 2), like x below 2.
+    """
 
 
 class DomainError(EulerProductError):

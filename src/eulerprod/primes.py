@@ -87,7 +87,7 @@ def sieve(limit: int) -> PrimeTable:
         raise DomainError(f"sieve limit must be nonnegative, got {limit}")
     if limit > DEFAULT_MAX_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds the maximum {DEFAULT_MAX_LIMIT}"
+            f"sieve limit {limit} must be at most {DEFAULT_MAX_LIMIT}"
         )
     if limit < 2:
         primes = np.empty(0, dtype=np.int32)

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eulerprod import experiments
-from eulerprod.cli import CSV_HEADER, _truncation, main
+from eulerprod.cli import CSV_HEADER, _fmt, _truncation, build_parser, main
 from eulerprod.primes import DEFAULT_MAX_LIMIT
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
@@ -261,6 +262,21 @@ def test_truncation_above_the_sieve_cap_is_a_usage_error(capsys, argv):
 
 def test_truncation_accepts_the_sieve_cap():
     assert _truncation(str(DEFAULT_MAX_LIMIT)) == DEFAULT_MAX_LIMIT
+
+
+def test_every_subcommand_binds_its_runner():
+    # main calls args.run with no table of names to fall back on.
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"eval", "scan-real", "scan-line", "mertens", "decay", "e1"}
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("run")), name
+
+
+@pytest.mark.parametrize("x", [2, 10, 10**4, 10**7, DEFAULT_MAX_LIMIT, 2**31 - 1])
+def test_fmt_prints_an_integer_x_as_str_does(x):
+    # .17g is exact for every integer below 2^53.
+    assert _fmt(x) == str(x)
 
 
 def test_numerical_error_exit_1(capsys):

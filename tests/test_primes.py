@@ -72,8 +72,9 @@ def test_sieve_million_count(table_1e6):
 
 
 def test_sieve_respects_limit_cap():
-    # Refused before anything is allocated.
-    with pytest.raises(ResourceLimitError):
+    # Refused before anything is allocated, in the words the CLI prints as
+    # its usage error.
+    with pytest.raises(ResourceLimitError, match="must be at most 100000000"):
         sieve(primes.DEFAULT_MAX_LIMIT + 1)
 
 
