@@ -4,7 +4,9 @@
 its reference: it evaluates the product at EXPERIMENT_ORDER, asks the
 variant for the independent zeta reference and returns the ScanRow with
 both errors.  Scans sweep s along the real axis or up a vertical line and
-make one row per grid point with it.  Decay experiments make one row per
+make one row per grid point with it, handing it the grid in the batches
+that one kernel call sums (eulerprod.product.batches); each row equals
+the point's own.  Decay experiments make one row per
 truncation x, measure how the absolute error shrinks as x grows and fit
 the exponent, which should land near 1/2 - sigma, to the explicit
 formula's model C x^(1/2 - sigma) / log x (see DecayFit).
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
-from .product import ProductVariant, corrected_product
+from .product import Evaluation, ProductVariant, batches, corrected_product
 
 #: Real-axis scans skip grid points closer than this to the pole at s = 1.
 POLE_GUARD = 0.05
@@ -168,20 +170,30 @@ class DecayFit:
 
 
 def evaluate(
-    s: complex,
+    s: complex | Sequence[complex],
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
     mode: Optional[ScanMode] = None,
-) -> ScanRow:
+) -> ScanRow | list[ScanRow]:
     """The corrected product at s and truncation table.limit, compared with
     ``variant.reference(s)``.
 
-    The product is evaluated at EXPERIMENT_ORDER.  ``mode`` picks the error:
+    ``s`` is one point, which gives a ScanRow, or a sequence of points,
+    which gives a list of them in order, each the one point's row.  The
+    product is evaluated at EXPERIMENT_ORDER.  ``mode`` picks the error:
     REAL_AXIS compares real parts, VERTICAL_LINE moduli, and None the
-    complex values.  Evaluation failures raise.
+    complex values.  Evaluation failures raise; a sequence raises the first
+    one met.
     """
-    ev = corrected_product(s, table, variant, order=EXPERIMENT_ORDER)
-    reference = variant.reference(ev.s)
+    evaluations = corrected_product(s, table, variant, order=EXPERIMENT_ORDER)
+    if isinstance(evaluations, Evaluation):
+        return _compare(evaluations, mode)
+    return [_compare(ev, mode) for ev in evaluations]
+
+
+def _compare(ev: Evaluation, mode: Optional[ScanMode]) -> ScanRow:
+    """``ev`` as a ScanRow, with its reference and the error ``mode`` picks."""
+    reference = ev.variant.reference(ev.s)
     if mode is ScanMode.REAL_AXIS:
         abs_err = abs(ev.value.real - reference.real)
     elif mode is ScanMode.VERTICAL_LINE:
@@ -203,20 +215,29 @@ def evaluate(
 def scan(spec: ScanSpec, table: PrimeTable) -> list[ScanRow]:
     """Evaluate the corrected product over the spec's grid, in grid order.
 
-    ``table`` must have been sieved to exactly spec.x.  Per-point failures
-    become error-flagged rows rather than aborting the scan.
+    ``table`` must have been sieved to exactly spec.x.  The grid goes to
+    ``evaluate`` in the batches one kernel call sums (see
+    eulerprod.product.batches).  A batch that fails is evaluated again
+    point by point, and each failing point becomes an error-flagged row
+    rather than aborting the scan.
     """
     if table.limit != spec.x:
         raise DomainError(
             f"table sieved to {table.limit} but the scan requests x = {spec.x}"
         )
     rows = []
-    for s in spec.grid():
+    for batch in batches(spec.grid(), table):
         try:
-            rows.append(evaluate(s, table, spec.variant, spec.mode))
-        except EulerProductError as exc:
-            flag = f"error:{type(exc).__name__}"
-            rows.append(ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,)))
+            rows += evaluate(batch, table, spec.variant, spec.mode)
+            continue
+        except EulerProductError:
+            pass
+        for s in batch:
+            try:
+                rows.append(evaluate(s, table, spec.variant, spec.mode))
+            except EulerProductError as exc:
+                flag = f"error:{type(exc).__name__}"
+                rows.append(ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,)))
     return rows
 
 

@@ -38,11 +38,22 @@ worker's, and its p^-s, their intermediate values and the extraction into
 the other, of the same shape: no block allocates an array, a deep table
 never holds more than one block of terms per worker, and a scan's rows do
 not fault in fresh pages (scan-line over 197 complex rows at x = 10^6 took
-about 1,300 minor page faults).  That
-holds at every s: far left of the half-plane, where terms are inf or nan,
-a block's row of them is added up in place, and an inf or a nan decides
-the sum by IEEE addition.  A sum has one worker, the calling thread,
-unless it spans at least _BLOCKS_PER_WORKER blocks per worker: on two
+about 1,100 minor page faults, sieve included).  That holds at every s:
+far left of the half-plane, where terms are inf or nan, a block's row of
+them is added up in place, and an inf or a nan decides the sum by IEEE
+addition.
+
+One call of the kernel may sum a batch of B points, B = _BLOCK_TERMS //
+count by the one rule of ``batches``: 26 at x = 10^4, 3 at 10^5, and one
+point per call wherever the table needs more than half a block.  A
+batch's terms are rows of the same block, so block boundaries do not move
+and a worker's array still holds at most 1 MiB, and each row goes through
+exactly its own point's operations: a batch gives every point the bits
+of its own call.  Scans hand their grids to the kernel in these batches;
+eval and decay evaluate batches of one.
+
+A sum has one worker, the calling thread, unless it spans at least
+_BLOCKS_PER_WORKER blocks per worker: on two
 cores, from x of about 3.2 million (8 blocks).  Then a thread pool sums
 its blocks, one worker per core the process may use at the time of the
 call, each kept to its core, while the calling thread waits with its own
@@ -73,10 +84,12 @@ at every s.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -171,7 +184,13 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
     range(count), into ``out``, shape (rows, len(block)): one contiguous row
     per quantity.  ``work``, of ``out``'s shape and as contiguous, is
     ``terms``'s own until it returns; both are the two halves of one work
-    array per worker.  Returns one sum per quantity; no terms sum to 0.
+    array per worker, of 2 ``rows`` times min(count, _BLOCK_TERMS) floats.
+    Returns one sum per quantity; no terms sum to 0.  The quantities may be
+    those of a batch of points (see batches), whose size keeps that array
+    at most 1 MiB.  Each row's largest term and splitting constants come
+    from one array operation over the rows, and only rows that hold an inf
+    or a nan are added up one by one, in place: a row's sum does not depend
+    on the rows beside it.
 
     Every finite term of a block of n must lie below 2^(1023-m), where m is
     the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
@@ -220,7 +239,7 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
         blocks starting at ``mine``, and the IEEE sum of the others, made
         in ``work`` (2 ``span`` floats)."""
         sums = [np.zeros(rows)]  # per block and level, one sum per quantity
-        special = [0.0] * rows
+        special = np.zeros(rows)
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
@@ -231,21 +250,23 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
                 q = work[span : span + rows * n].reshape(rows, n)
                 terms(slice(start, start + n), x, q)
                 m = (n + 1).bit_length()
-                tops = np.maximum.reduce(np.abs(x, out=q), axis=1).tolist()
-                sigmas = []
-                for i, (values, top) in enumerate(zip(x, tops)):
-                    if not math.isfinite(top):  # inf or nan decides the sum
-                        special[i] += float(np.add.reduce(values))
-                        values[...] = 0.0
-                    sigmas.append(math.ldexp(1.0, m + math.frexp(top)[1]))
-                scale = 2.0 ** (m - 53)
-                for sigma in np.array([sigmas, [v * scale for v in sigmas]])[:, :, None]:
-                    np.add(x, sigma, out=q)
-                    np.subtract(q, sigma, out=q)
+                tops = np.maximum.reduce(np.abs(x, out=q), axis=1)
+                # An inf or nan top marks a row decided by IEEE addition.  The
+                # tops are >= 0 or nan, so their sum is finite unless some top
+                # is not (or the sum overflows, and the mask selects no row).
+                if not math.isfinite(np.add.reduce(tops)):
+                    for i in np.flatnonzero(~np.isfinite(tops)):
+                        special[i] += np.add.reduce(x[i])
+                        x[i] = 0.0
+                        tops[i] = 0.0
+                sigma = np.ldexp(1.0, m + np.frexp(tops)[1])[:, None]
+                for level in (sigma, sigma * 2.0 ** (m - 53)):
+                    np.add(x, level, out=q)
+                    np.subtract(q, level, out=q)
                     np.subtract(x, q, out=x)
                     sums.append(np.add.reduce(q, axis=1))
                 sums.append(np.add.reduce(x, axis=1))
-        return list(zip(np.transpose(sums).tolist(), special))
+        return list(zip(np.transpose(sums).tolist(), special.tolist()))
 
     if workers == 1:
         parts = [partials(starts, np.empty(2 * span))]
@@ -282,46 +303,98 @@ def _keep_to(cores: set[int]) -> None:
         pass
 
 
-def _prime_powers(s: complex, log_primes: np.ndarray, out: np.ndarray) -> None:
-    """Writes p^-s for the primes whose logs are ``log_primes`` into ``out``.
+def _prime_powers(points: Sequence[complex], log_primes: np.ndarray, out: np.ndarray):
+    """Writes p^-s into row i of ``out`` for s the i-th of ``points``, over
+    the primes whose logs are ``log_primes``.
 
     A float ``out`` takes a real exp (real s > 0), a complex one the complex
-    exp.
+    exp.  Each row's exponent is its own multiply by a scalar: broadcasting
+    a column of points would make numpy allocate iteration buffers, about
+    230 KiB beside a batch's work array.
     """
-    np.multiply(-s.real if out.dtype.kind == "f" else -s, log_primes, out=out)
+    real = out.dtype.kind == "f"
+    for row, s in zip(out, points):
+        np.multiply(-s.real if real else -s, log_primes, out=row)
     np.exp(out, out=out)
 
 
-def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> complex:
+def _is_real(s: complex) -> bool:
+    """Whether every p^-s is real: log_raw_product's real formula."""
+    return s.imag == 0.0 and s.real > 0.0
+
+
+def _points(s: complex | Sequence[complex]) -> tuple[list[complex], bool]:
+    """The points of ``s``, one point or a sequence of points, and whether
+    it was one point."""
+    if np.ndim(s) == 0:
+        return [complex(s)], True
+    return [complex(p) for p in s], False
+
+
+def batches(points: Sequence[complex], table: PrimeTable) -> Iterator[list[complex]]:
+    """``points``, in order, cut into the batches that one kernel call sums.
+
+    A batch holds at most B = _BLOCK_TERMS // table.count points (at least
+    one), all of which take the real formula of log_raw_product or all the
+    complex one.  So a batch forms only where the whole table fits one
+    block, and its work array is no larger than one point's at a table of
+    a full block: 1 MiB per worker for complex terms.  At x = 10^4 (1,229
+    primes) B is 26, at 10^5 it is 3, and from 16,385 primes on it is 1.
+    """
+    size = max(1, _BLOCK_TERMS // max(table.count, 1))
+    for _, run in itertools.groupby(points, _is_real):
+        run = list(run)
+        for start in range(0, len(run), size):
+            yield run[start : start + size]
+
+
+def log_raw_product(
+    s: complex | Sequence[complex], table: PrimeTable, variant: ProductVariant
+) -> complex | list[complex]:
     """Sum of per-prime log factors for the truncated product, uncorrected.
 
     Zeta:        -sum log(1 - p^-s)
     InverseZeta: +sum log(1 - p^-s)
     Ratio:       -sum log(1 + p^-s)
 
+    ``s`` is one point, which gives a complex, or a sequence of points,
+    which gives a list of them in order, each the one point's sum bit for
+    bit.  Each of its batches (see ``batches``) is one call of the kernel:
+    B points of real s write B rows of terms, others 2B.
+
     Raises SingularFactorError if some factor vanishes at s (possible only
     outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
     term's log1p argument rounds to -1, as for prime 2 at s = 1e-18 and at
-    s = 1e-18 + 1e-300i).
+    s = 1e-18 + 1e-300i); a sequence raises it for its first such point.
     """
-    s = complex(s)
+    points, one = _points(s)
+    sums = []
+    for batch in batches(points, table):
+        sums += _log_raw_sums(batch, table, variant)
+    return sums[0] if one else sums
+
+
+def _log_raw_sums(
+    batch: list[complex], table: PrimeTable, variant: ProductVariant
+) -> list[complex]:
+    """log_raw_product of one batch, in one call of the kernel."""
     coeff, sign = _SHAPE[variant]
+    k = len(batch)
 
     def real_terms(block, out, work):
         # log(1 + u) = log1p(u) for u = sign * p^-s, real and in [-1, 1].
-        re = out[0]
-        _prime_powers(s, table.log_primes[block], re)
-        np.multiply(sign, re, out=re)
-        np.log1p(re, out=re)
+        _prime_powers(batch, table.log_primes[block], out)
+        np.multiply(sign, out, out=out)
+        np.log1p(out, out=out)
 
     def complex_terms(block, out, work):
         # log(1 + u) for u = sign * p^-s = a + ib, written so the real part
         # goes through a real log1p: re = log|1+u| = log1p(2a + a^2 + b^2) / 2,
-        # im = arg(1+u).  p^-s is made in ``work``, a and b in ``out``'s rows,
-        # and then ``work``'s rows hold b^2 and x.
-        w = work.reshape(-1).view(np.complex128)
-        _prime_powers(s, table.log_primes[block], w)
-        (a, b), (bb, x) = out, work
+        # im = arg(1+u).  p^-s is made in ``work``, a and b in ``out``'s two
+        # halves of k rows, and then ``work``'s halves hold b^2 and x.
+        w = work.reshape(-1).view(np.complex128).reshape(k, -1)
+        _prime_powers(batch, table.log_primes[block], w)
+        (a, b), (bb, x) = out.reshape(2, k, -1), work.reshape(2, k, -1)
         np.multiply(sign, w.real, out=a)
         np.multiply(sign, w.imag, out=b)
         np.multiply(b, b, out=bb)
@@ -334,37 +407,47 @@ def log_raw_product(s: complex, table: PrimeTable, variant: ProductVariant) -> c
         np.log1p(x, out=x)
         np.multiply(0.5, x, out=a)
 
-    real = s.imag == 0.0 and s.real > 0.0  # every p^-s is real
-    terms, rows = (real_terms, 1) if real else (complex_terms, 2)
+    real = _is_real(batch[0])  # every p^-s of the batch is real
+    terms, rows = (real_terms, k) if real else (complex_terms, 2 * k)
     sums = _prime_sums(table.count, rows, terms)
-    if sums[0] == -math.inf:
-        # A vanishing factor's term is log1p(-1) = -inf; overflow gives +inf or
-        # nan.  The same terms, made again, show which it was.
-        dead = []
+    # Row i holds the real parts of point i's terms.  A vanishing factor's
+    # term is log1p(-1) = -inf; overflow gives +inf or nan.  The same terms,
+    # made again, show which it was.
+    suspects = [i for i in range(k) if sums[i] == -math.inf]
+    if suspects:
+        dead: dict[int, list[int]] = {i: [] for i in suspects}
 
         def find_dead(block, out, work):
             terms(block, out, work)
-            hits = np.flatnonzero(out[0] == -math.inf)
-            if hits.size:  # blocks may come in any order: keep every first hit
-                dead.append(block.start + int(hits[0]))
+            for i in suspects:
+                hits = np.flatnonzero(out[i] == -math.inf)
+                if hits.size:  # blocks may come in any order: keep every first hit
+                    dead[i].append(block.start + int(hits[0]))
 
         _prime_sums(table.count, rows, find_dead)
-        if dead:
-            p = int(table.primes[min(dead)])
-            raise SingularFactorError(
-                f"Euler factor vanishes at prime {p} for s = {s}", prime=p
-            )
-    # One real row: complex(re) has imaginary part +0.0.
-    return coeff * complex(*sums)
+        for i in suspects:
+            if dead[i]:
+                p = int(table.primes[min(dead[i])])
+                raise SingularFactorError(
+                    f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
+                )
+    # A real point has one row: complex(re) has imaginary part +0.0.
+    if real:
+        return [coeff * complex(re) for re in sums]
+    return [coeff * complex(re, im) for re, im in zip(sums[:k], sums[k:])]
 
 
 def corrected_product(
-    s: complex,
+    s: complex | Sequence[complex],
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
     order: int = 1,
-) -> Evaluation:
+) -> Evaluation | list[Evaluation]:
     """Truncated Euler product at s with its exponential-integral correction.
+
+    ``s`` is one point, which gives an Evaluation, or a sequence of points,
+    which gives a list of them in order; their log sums come from one
+    log_raw_product call, and a sequence raises the first error met.
 
     s = 1 is a hard error: the zeta product has its pole and the inverse its
     zero exactly there, and the correction's argument (s-1) log x hits the
@@ -389,13 +472,23 @@ def corrected_product(
     """
     if order not in (1, 2):
         raise ValueError(f"correction order must be 1 or 2, got {order!r}")
-    s = complex(s)
-    if s == 1:
+    points, one = _points(s)
+    if 1 in points:
         raise SingularityError(
             "s = 1 is excluded (pole of the zeta product, zero of its inverse); "
             "use mertens_ratio for the limiting behaviour at s = 1"
         )
-    log_raw = log_raw_product(s, table, variant)
+    log_raws = log_raw_product(points, table, variant)
+    evaluations = [
+        _corrected(s, log_raw, table, variant, order) for s, log_raw in zip(points, log_raws)
+    ]
+    return evaluations[0] if one else evaluations
+
+
+def _corrected(
+    s: complex, log_raw: complex, table: PrimeTable, variant: ProductVariant, order: int
+) -> Evaluation:
+    """corrected_product at one point s whose log sum is ``log_raw``."""
     log_x = math.log(table.limit) if table.limit >= 1 else 0.0
     e1_result = e1((s - 1.0) * log_x)  # raises SingularityError when x = 1
     coeff, sign = _SHAPE[variant]
@@ -451,7 +544,7 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
     def terms(block, out, work):
         # p^-s, made complex in ``work`` and split into ``out``'s two rows.
         w = work.reshape(-1).view(np.complex128)
-        _prime_powers(s, table.log_primes[block], w)
+        _prime_powers([s], table.log_primes[block], w.reshape(1, -1))
         out[0], out[1] = w.real, w.imag
 
     head = complex(*_prime_sums(table.count, 2, terms))

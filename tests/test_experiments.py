@@ -5,6 +5,7 @@ import pytest
 
 from eulerprod import (
     DomainError,
+    EulerProductError,
     InsufficientDataError,
     ProductVariant,
     ScanMode,
@@ -128,6 +129,40 @@ def test_scan_survives_per_row_errors(table_1e2):
     assert rows[0].value is None
     assert rows[0].flags == ("error:SingularityError",)
     assert rows[1].value is not None
+
+
+@pytest.mark.parametrize("variant", list(ProductVariant))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(mode=ScanMode.REAL_AXIS, s_min=-0.4, s_max=0.8, step=0.02),
+        dict(mode=ScanMode.VERTICAL_LINE, sigma=0.55, t_min=-0.6, t_max=0.6, step=0.02),
+    ],
+    ids=["real-axis", "vertical-line"],
+)
+def test_scan_rows_equal_single_point_rows(table_1e4, spec, variant):
+    # A scan evaluates its grid in batches of 26 points at x = 10^4, and one
+    # point must give the same row from a scan as from evaluate alone.  The
+    # 61 points cross batch boundaries and the change between the real
+    # formula (real s > 0) and the complex one.  Left of s = 0.04 on the
+    # real axis every point fails (s = 0 by its dead factor, others by E1
+    # or the reference), and so does the ratio at s = 1/2, the pole of
+    # zeta(2s).  That sends those batches back point by point, and each
+    # failing point gets the error its own evaluation raises.
+    spec = ScanSpec(x=10**4, variant=variant, **spec)
+    rows = scan(spec, table_1e4)
+    assert len(rows) == 61
+    for s, row in zip(spec.grid(), rows):
+        if row.value is None:
+            with pytest.raises(EulerProductError) as info:
+                evaluate(s, table_1e4, variant)
+            assert row.flags == (f"error:{type(info.value).__name__}",)
+            continue
+        alone = evaluate(s, table_1e4, variant)
+        assert (row.value, row.reference) == (alone.value, alone.reference)
+        assert row == evaluate(s, table_1e4, variant, spec.mode)
+    failed = sum(row.value is None for row in rows)
+    assert 20 <= failed <= 22 if spec.mode is ScanMode.REAL_AXIS else failed == 0
 
 
 def test_scan_next_to_the_cut_makes_no_error_rows(table_1e4):

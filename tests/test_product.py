@@ -567,17 +567,77 @@ def test_far_left_sums_hold_no_more_memory_than_the_strip():
         assert peak(s) < strip + 2**20
 
 
-def test_complex_sum_holds_one_mib_work_array(table_1e6):
+def test_complex_sum_holds_one_mib_work_array(table_1e4, table_1e6):
     # A complex call's work array is two rows of terms and two rows shaped
     # like them: 1 MiB at the shipped block size.  Measured 1,157 KiB at
-    # its peak; an array of 1.25 MiB would not fit.
-    tracemalloc.start()
-    try:
-        log_raw_product(0.75 + 5.0j, table_1e6, ZETA)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 2**20
+    # its peak; an array of 1.25 MiB would not fit.  A batch of 26 points
+    # at x = 10^4 writes 52 rows of 1,229 terms and 52 shaped like them,
+    # just under 1 MiB: measured 1,068 KiB at its peak over 60 points.
+    batch = [0.75 + t * 1j for t in range(60)]
+    for s, table in ((0.75 + 5.0j, table_1e6), (batch, table_1e4)):
+        tracemalloc.start()
+        try:
+            log_raw_product(s, table, ZETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
+
+
+def same_bits(a: complex, b: complex) -> bool:
+    """Whether a and b are the same number part by part, nan matching nan."""
+    return all(x == y or (math.isnan(x) and math.isnan(y))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@pytest.mark.parametrize("x", [10**2, 10**4, 10**5])
+def test_a_batch_sums_each_point_as_its_own_call(x):
+    # Points of one kind share one kernel call, up to _BLOCK_TERMS //
+    # table.count of them: 1,310 at x = 10^2, 26 at 10^4, 3 at 10^5.  Each
+    # row of the batch goes through its own point's operations, so every
+    # sum is the single call's, bit for bit.  The points mix real s > 0
+    # (the real formula), real s <= 0 and complex s (the complex one), and
+    # far left every term is inf or nan.
+    table = sieve(x)
+    size = product._BLOCK_TERMS // table.count
+    assert size == {10**2: 1310, 10**4: 26, 10**5: 3}[x]
+    rng = np.random.default_rng(x)
+    points = [
+        *rng.uniform(0.05, 4.0, 40),
+        *(rng.uniform(0.5, 2.0, 70) + 1j * rng.uniform(-60, 60, 70)),
+        0.8, -0.5, -0.25 + 0.0j, 0.55 + 14.134725j, 2.0, 3.0,
+        -200.0, -200.0 + 3.0j, -200.0 - 1.5j, -200.0 + 0.5j, 0.9 - 0.0j,
+    ]
+    runs = [len(batch) for batch in product.batches([complex(p) for p in points], table)]
+    assert sum(runs) == len(points) and max(runs) == min(size, 70)
+    for variant in ProductVariant:
+        batched = log_raw_product(points, table, variant)
+        assert len(batched) == len(points)
+        for s, value in zip(points, batched):
+            assert same_bits(value, log_raw_product(s, table, variant)), (s, variant)
+
+
+@pytest.mark.parametrize(
+    "points, dead",
+    [
+        ([2.0, 0.5, 1e-18, 3.0, 0j], 1e-18),
+        ([0.8 + 1j, 1e-18 + 1e-300j, 0.5 - 3j, 1e-17 + 1e-20j], 1e-18 + 1e-300j),
+        ([0.9, 1e-18 + 0j], 1e-18),
+    ],
+)
+@pytest.mark.parametrize("variant", [ZETA, INVERSE])
+def test_a_dead_factor_in_a_batch_raises_as_its_point_does(points, dead, variant):
+    # The first point of the sequence whose factor vanishes raises the
+    # single call's SingularFactorError, message and prime 2 included.
+    table = sieve(100)
+    with pytest.raises(SingularFactorError) as alone:
+        log_raw_product(dead, table, variant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFactorError) as batched:
+            log_raw_product(points, table, variant)
+    assert batched.value.prime == alone.value.prime == 2
+    assert str(batched.value) == str(alone.value)
 
 
 # ---------------------------------------------------------- corrected_product
@@ -949,3 +1009,44 @@ def test_mertens_monotone_trend(table_1e2, table_1e4):
 def test_mertens_empty_product():
     with pytest.raises(SingularityError):
         mertens_ratio(sieve(1))
+
+
+@pytest.mark.parametrize("x", [10**3, 10**6])
+def test_products_next_to_the_pole_recover_mertens(x):
+    # The paper's s = 1 claim: near the pole exp(E1((s - 1) L)) is about
+    # e^-gamma / ((s - 1) L), so (s - 1) times the zeta product tends to
+    # mertens_ratio and the inverse product over (s - 1) to its
+    # reciprocal, within |s - 1| from the right, the left and above
+    # (measured at most 0.60 |s - 1|).  s - 1 is taken after rounding:
+    # with the literal offset, the rounding of 1 + d shows instead.
+    table = sieve(x)
+    ratio = mertens_ratio(table)
+    for k in range(3, 14):
+        for d in (10.0**-k, -(10.0**-k), 1j * 10.0**-k):
+            s = 1 + d
+            gap = s - 1
+            zeta_value = corrected_product(s, table, ZETA).value
+            inverse_value = corrected_product(s, table, INVERSE).value
+            assert abs(gap * zeta_value / ratio - 1) <= abs(gap), s
+            assert abs(inverse_value / gap * ratio - 1) <= abs(gap), s
+
+
+@pytest.mark.parametrize("x, limit", [(10**3, 1.000249), (10**6, 0.999975)])
+def test_order_two_jumps_at_the_pole_from_the_left(x, limit):
+    # Order 2 adds the prime-square term only on 1/2 < Re(s) < 1, so on the
+    # real axis (s - 1) times the zeta product tends to mertens_ratio times
+    # exp((E1(L) - E1(L/2)) / 2) from the left (about -x^(-1/2) / log x
+    # below it: 1.000249 against 1.003882 at x = 10^3, 0.999975 against
+    # 1.000039 at 10^6), and to mertens_ratio itself from the right.  A
+    # change to that rule has to change these numbers.
+    table = sieve(x)
+    ratio = mertens_ratio(table)
+    log_x = math.log(x)
+    jump = cmath.exp((e1(log_x).value - e1(log_x / 2).value) / 2)
+    for k in range(7, 14):
+        left, right = 1 - 10.0**-k, 1 + 10.0**-k
+        below = (left - 1) * corrected_product(left, table, ZETA, order=2).value
+        above = (right - 1) * corrected_product(right, table, ZETA, order=2).value
+        assert abs(below - limit) < 1e-6
+        assert abs(below / (ratio * jump) - 1) <= 1 - left
+        assert abs(above / ratio - 1) <= right - 1
