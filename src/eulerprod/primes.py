@@ -1,7 +1,9 @@
 """Prime tables: sieve construction and prime counting.
 
 A PrimeTable is built once per run and shared read-only by every product
-evaluation; scans evaluate thousands of points against a single table.
+evaluation; scans evaluate thousands of points against a single table.  It
+holds the float64 logs of its primes and nothing else: the products read
+only the logs, and counting compares logs too.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest sieve limit accepted.  At this size the returned
-#: tables take 69 MB (int32 primes, float64 logs) and the sieve peaks about
-#: 2 MB above them: its 1 MB segment buffer and one segment's prime indices.
-#: No mask of the whole range is ever allocated.  It must stay below 2^31,
-#: so that every prime, and every query up to a table's limit, fits int32.
+#: Largest sieve limit accepted.  At this size the returned table's float64
+#: logs take 46 MB and the sieve peaks about 2 MB above them: its 1 MB
+#: segment buffer and one segment's prime indices.  No mask of the whole
+#: range is ever allocated.
 DEFAULT_MAX_LIMIT = 10**8
 
 #: Odd entries struck per segment of the sieve: 1 MB of bool, which stays in
@@ -28,40 +29,53 @@ _SEGMENT = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes up to ``limit``, ascending, with their natural logs cached.
+    """All primes up to ``limit``, ascending, held as their natural logs.
 
-    The log cache exists because p^(-s) is evaluated as exp(-s log p) and the
-    logs dominate the cost of a scan when recomputed per point.  ``primes``
-    is int32, which holds every prime below DEFAULT_MAX_LIMIT < 2^31 in half
-    the bytes of int64; ``log_primes`` is float64.  Arrays are read-only;
-    the table is safe to share across threads.
+    p^(-s) is evaluated as exp(-s log p), so every product reads the logs
+    and nothing else; the primes themselves are read back from them on
+    demand (``primes``).  ``log_primes`` is float64 and read-only; the table
+    is safe to share across threads.
     """
 
     limit: int
-    primes: np.ndarray
     log_primes: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
         """pi(limit): the number of primes in the table."""
-        return int(self.primes.size)
+        return int(self.log_primes.size)
+
+    @property
+    def primes(self) -> np.ndarray:
+        """The primes, ascending: a new read-only int32 array on each read.
+
+        round(exp(log p)) gives back every prime p <= DEFAULT_MAX_LIMIT
+        exactly (the largest miss before rounding is 1.8e-7), and int32 holds
+        them all because DEFAULT_MAX_LIMIT < 2^31.
+        """
+        primes = np.exp(self.log_primes)
+        np.rint(primes, out=primes)
+        primes = primes.astype(np.int32)
+        primes.setflags(write=False)
+        return primes
 
     def truncate(self, limit: int) -> "PrimeTable":
         """View of this table restricted to primes <= ``limit``.
 
-        Cheap (numpy slices share storage); used by decay experiments that
+        Cheap (a numpy slice shares storage); used by decay experiments that
         sieve once to the largest x and mask downwards, and by prime_pi.
         """
         if limit > self.limit:
             raise DomainError(
                 f"cannot truncate table for limit {self.limit} up to {limit}"
             )
-        # The query takes the table's own dtype, or numpy would cast the whole
-        # table to int64 for one lookup; limits below 0, where no prime lies,
-        # are clamped to 0 to fit int32.
-        query = self.primes.dtype.type(max(limit, 0))
-        n = int(np.searchsorted(self.primes, query, side="right"))
-        return PrimeTable(limit=limit, primes=self.primes[:n], log_primes=self.log_primes[:n])
+        # Primes are integers, so p <= limit exactly when log p < log(limit
+        # + 1/2).  The margin, at least 5e-9 in log up to DEFAULT_MAX_LIMIT,
+        # is far above any last-bit difference between math.log and np.log.
+        n = 0
+        if limit >= 2:
+            n = int(np.searchsorted(self.log_primes, log(limit + 0.5), side="right"))
+        return PrimeTable(limit=limit, log_primes=self.log_primes[:n])
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -74,11 +88,13 @@ def sieve(limit: int) -> PrimeTable:
     entries are then struck _SEGMENT at a time in one reused buffer, so the
     strikes stay in cache (Bays & Hudson, BIT 17, 1977); each base prime
     carries its next index from one segment to the next.  Each segment's
-    primes are written straight into one int32 array sized by
-    pi(x) < 1.25506 x / log x for x > 1 (Rosser & Schoenfeld 1962), which is
-    then sliced to the count; its never-written pages never become resident.
-    int32 is exact because ``limit`` is at most DEFAULT_MAX_LIMIT < 2^31,
-    and np.log turns each prime into the same float64 as from int64.
+    primes are written straight into one float64 array sized by
+    pi(x) < x / log x * (1 + 3 / (2 log x)) for x > 1 (Rosser & Schoenfeld
+    1962, (3.2)), which is then sliced to the count and turned into logs in
+    place; its never-written pages never become resident.  Every prime is
+    below 2^53, so float64 holds it exactly and np.log gives the same bits
+    as from an integer array.  So the sieve holds the table's 8 bytes per
+    prime, one 1 MB segment buffer and one segment's int64 indices.
 
     Raises ResourceLimitError when ``limit`` exceeds DEFAULT_MAX_LIMIT and
     DomainError for negative limits.
@@ -90,12 +106,12 @@ def sieve(limit: int) -> PrimeTable:
             f"sieve limit {limit} must be at most {DEFAULT_MAX_LIMIT}"
         )
     if limit < 2:
-        primes = np.empty(0, dtype=np.int32)
+        log_primes = np.empty(0)
     else:
         base = sieve(isqrt(limit)).primes[1:].tolist()
         next_index = [p * p // 2 for p in base]
         size = (limit + 1) // 2
-        out = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)
+        out = np.empty(int(limit / log(limit) * (1 + 1.5 / log(limit))) + 1)
         buffer = np.empty(min(_SEGMENT, size), dtype=bool)
         count = 0
         for lo in range(0, size, _SEGMENT):
@@ -108,17 +124,17 @@ def sieve(limit: int) -> PrimeTable:
                     segment[i - lo :: p] = False
                     # The first index of p's progression at or past hi.
                     next_index[j] = i + (hi - i + p - 1) // p * p
-            found = np.flatnonzero(segment)
-            chunk = out[count : count + found.size]
-            np.multiply(found, 2, out=chunk)
+            # The indices are freed before the next segment's are made.
+            chunk = out[count : count + np.count_nonzero(segment)]
+            chunk[:] = np.flatnonzero(segment)
+            chunk *= 2
             chunk += 2 * lo + 1
-            count += found.size
-        primes = out[:count]
-        primes[0] = 2
-    log_primes = np.log(primes, dtype=np.float64)
-    primes.setflags(write=False)
+            count += chunk.size
+        log_primes = out[:count]
+        log_primes[0] = 2
+        np.log(log_primes, out=log_primes)
     log_primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes, log_primes=log_primes)
+    return PrimeTable(limit=limit, log_primes=log_primes)
 
 
 def prime_pi(table: PrimeTable, y: int) -> int:

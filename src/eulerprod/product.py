@@ -84,11 +84,11 @@ at every s.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Number
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -326,7 +326,7 @@ def _is_real(s: complex) -> bool:
 def _points(s: complex | Sequence[complex]) -> tuple[list[complex], bool]:
     """The points of ``s``, one point or a sequence of points, and whether
     it was one point."""
-    if np.ndim(s) == 0:
+    if isinstance(s, Number):
         return [complex(s)], True
     return [complex(p) for p in s], False
 
@@ -342,10 +342,14 @@ def batches(points: Sequence[complex], table: PrimeTable) -> Iterator[list[compl
     primes) B is 26, at 10^5 it is 3, and from 16,385 primes on it is 1.
     """
     size = max(1, _BLOCK_TERMS // max(table.count, 1))
-    for _, run in itertools.groupby(points, _is_real):
-        run = list(run)
-        for start in range(0, len(run), size):
-            yield run[start : start + size]
+    batch = []
+    for s in points:
+        if len(batch) == size or batch and _is_real(s) != _is_real(batch[0]):
+            yield batch
+            batch = []
+        batch.append(s)
+    if batch:
+        yield batch
 
 
 def log_raw_product(
@@ -427,7 +431,7 @@ def _log_raw_sums(
         _prime_sums(table.count, rows, find_dead)
         for i in suspects:
             if dead[i]:
-                p = int(table.primes[min(dead[i])])
+                p = round(math.exp(table.log_primes[min(dead[i])]))
                 raise SingularFactorError(
                     f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
                 )

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
 
-from eulerprod import DomainError, ResourceLimitError, prime_pi, primes, sieve
+from eulerprod import DomainError, PrimeTable, ResourceLimitError, prime_pi, primes, sieve
 
 
 def trial_division_count(limit: int) -> int:
@@ -186,8 +187,9 @@ def test_the_sieve_cap_fits_int32():
 
 def test_lookups_and_the_sieve_make_no_table_sized_temporaries():
     # A query numpy must cast would cast the whole table instead: 5.3 MB
-    # here for one lookup.  The sieve holds its int32 output, the float64
-    # logs, one segment buffer and one segment's indices.
+    # here for one lookup.  The sieve holds only its float64 output, which
+    # becomes the logs in place, one 1 MiB segment buffer and one segment's
+    # int64 indices (about 1.2 MB here, in the first segment).
     table = sieve(10**7)
     tracemalloc.start()
     try:
@@ -202,7 +204,7 @@ def test_lookups_and_the_sieve_make_no_table_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * sieved.count + 3 * 2**20
+    assert peak <= 8 * sieved.count + 3 * 2**20
 
 
 @pytest.mark.parametrize("y", [-(10**10), -5, 0])
@@ -212,3 +214,23 @@ def test_queries_below_every_prime_count_nothing(table_1e3, y):
     assert cut.limit == y
     assert cut.count == 0
     assert cut.log_primes.size == 0
+
+
+def test_a_table_holds_only_its_limit_and_logs():
+    assert [f.name for f in dataclasses.fields(PrimeTable)] == ["limit", "log_primes"]
+
+
+def test_counts_by_log_equal_counts_by_integer(table_1e6):
+    # Every prime p up to 10^6, and its neighbours p - 1 and p + 1, where a
+    # count by log could slip; the last 2,000 primes below 10^7, where
+    # neighbouring logs lie closest; and the limits below and at the first
+    # primes.  The counts are checked against the whole-mask sieve's primes.
+    for table, last in ((table_1e6, None), (sieve(10**7), 2000)):
+        reference = whole_mask_primes(table.limit)
+        p = reference[-last:] if last else reference
+        ys = np.concatenate([p - 1, p, p + 1, [-5, 0, 1, 2, 3]])
+        ys = ys[ys <= table.limit]
+        expected = np.searchsorted(reference, ys, side="right").tolist()
+        ys = ys.tolist()
+        assert [table.truncate(y).count for y in ys] == expected
+        assert [prime_pi(table, y) for y in ys] == expected
