@@ -177,7 +177,7 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(count: int, rows: int, terms) -> list[float]:
+def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
     """Sums of ``count`` per-prime terms in ``rows`` quantities.
 
     ``terms(block, out, work)`` writes the terms of ``block``, a slice of
@@ -185,12 +185,13 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
     per quantity.  ``work``, of ``out``'s shape and as contiguous, is
     ``terms``'s own until it returns; both are the two halves of one work
     array per worker, of 2 ``rows`` times min(count, _BLOCK_TERMS) floats.
-    Returns one sum per quantity; no terms sum to 0.  The quantities may be
-    those of a batch of points (see batches), whose size keeps that array
-    at most 1 MiB.  Each row's largest term and splitting constants come
-    from one array operation over the rows, and only rows that hold an inf
-    or a nan are added up one by one, in place: a row's sum does not depend
-    on the rows beside it.
+    Returns one sum per quantity (no terms sum to 0) and, per quantity, the
+    index of its first -inf term, or ``count`` where it has none.  The
+    quantities may be those of a batch of points (see batches), whose size
+    keeps that array at most 1 MiB.  Each row's largest term and splitting
+    constants come from one array operation over the rows, and only rows
+    that hold an inf or a nan are added up one by one, in place: a row's
+    sum does not depend on the rows beside it.
 
     Every finite term of a block of n must lie below 2^(1023-m), where m is
     the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
@@ -199,7 +200,8 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
     magnitude, and |p^-s| < 1 for Re(s) > 0.  A block's row whose largest
     term is inf or nan is added up by plain IEEE addition, and so are all
     such rows of a quantity: its sum is nan if they hold a nan or both
-    infinities, and +-inf otherwise.
+    infinities, and +-inf otherwise.  Only such a row can hold a -inf
+    term, so this pass finds its first: every -inf sum has one.
 
     A call of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
     thread.  A larger one reads the caller's CPU affinity once and deals
@@ -211,9 +213,10 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
     passes, so the workers run at once; ``terms`` may be called from any
     of them.  Each block's sums are the same whichever worker makes them,
     and all reach one final math.fsum unrounded, which is exact and so
-    independent of their order: the bits do not depend on W.  The first
-    failing share's exception, in share order, is raised in the caller
-    once every pool thread has ended.
+    independent of their order: the bits do not depend on W.  A share's
+    blocks ascend, so a row's first -inf term is the least of the shares'.
+    The first failing share's exception, in share order, is raised in the
+    caller once every pool thread has ended.
 
     For n terms below 2^e, sigma = 2^(m+e) splits each x exactly into
     q = (x + sigma) - sigma, a multiple of 2^-53 sigma, and x - q.  The q
@@ -234,12 +237,13 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
     width = min(count, _BLOCK_TERMS)
     span = rows * width
 
-    def partials(mine: range, work: np.ndarray) -> list[tuple[list[float], float]]:
-        """Each row's unrounded partial sums over the finite rows of the
-        blocks starting at ``mine``, and the IEEE sum of the others, made
-        in ``work`` (2 ``span`` floats)."""
+    def partials(mine: range, work: np.ndarray) -> list[tuple[list[float], float, int]]:
+        """Per row, the unrounded partial sums over the finite rows of the
+        blocks starting at ``mine``, the IEEE sum of the others and the
+        first -inf term's index, made in ``work`` (2 ``span`` floats)."""
         sums = [np.zeros(rows)]  # per block and level, one sum per quantity
         special = np.zeros(rows)
+        first = [count] * rows
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
@@ -256,6 +260,9 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
                 # is not (or the sum overflows, and the mask selects no row).
                 if not math.isfinite(np.add.reduce(tops)):
                     for i in np.flatnonzero(~np.isfinite(tops)):
+                        hits = np.flatnonzero(x[i] == -math.inf)
+                        if hits.size and first[i] == count:
+                            first[i] = start + int(hits[0])
                         special[i] += np.add.reduce(x[i])
                         x[i] = 0.0
                         tops[i] = 0.0
@@ -266,7 +273,7 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
                     np.subtract(x, q, out=x)
                     sums.append(np.add.reduce(q, axis=1))
                 sums.append(np.add.reduce(x, axis=1))
-        return list(zip(np.transpose(sums).tolist(), special.tolist()))
+        return list(zip(np.transpose(sums).tolist(), special.tolist(), first))
 
     if workers == 1:
         parts = [partials(starts, np.empty(2 * span))]
@@ -288,11 +295,13 @@ def _prime_sums(count: int, rows: int, terms) -> list[float]:
             workers, initializer=lambda: _keep_to({next(cores)})
         ) as pool:
             parts = list(pool.map(partials, shares, works))
-    return [
-        math.fsum(v for finite, _ in row for v in finite)
-        + sum(special for _, special in row)
-        for row in zip(*parts)
+    by_row = list(zip(*parts))
+    sums = [
+        math.fsum(v for finite, _, _ in row for v in finite)
+        + sum(special for _, special, _ in row)
+        for row in by_row
     ]
+    return sums, [min(first for _, _, first in row) for row in by_row]
 
 
 def _keep_to(cores: set[int]) -> None:
@@ -369,7 +378,8 @@ def log_raw_product(
     Raises SingularFactorError if some factor vanishes at s (possible only
     outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
     term's log1p argument rounds to -1, as for prime 2 at s = 1e-18 and at
-    s = 1e-18 + 1e-300i); a sequence raises it for its first such point.
+    s = 1e-18 + 1e-300i), naming the least such prime, which the batch's
+    one kernel call finds; a sequence raises it for its first such point.
     """
     points, one = _points(s)
     sums = []
@@ -413,28 +423,16 @@ def _log_raw_sums(
 
     real = _is_real(batch[0])  # every p^-s of the batch is real
     terms, rows = (real_terms, k) if real else (complex_terms, 2 * k)
-    sums = _prime_sums(table.count, rows, terms)
+    sums, firsts = _prime_sums(table.count, rows, terms)
     # Row i holds the real parts of point i's terms.  A vanishing factor's
-    # term is log1p(-1) = -inf; overflow gives +inf or nan.  The same terms,
-    # made again, show which it was.
-    suspects = [i for i in range(k) if sums[i] == -math.inf]
-    if suspects:
-        dead: dict[int, list[int]] = {i: [] for i in suspects}
-
-        def find_dead(block, out, work):
-            terms(block, out, work)
-            for i in suspects:
-                hits = np.flatnonzero(out[i] == -math.inf)
-                if hits.size:  # blocks may come in any order: keep every first hit
-                    dead[i].append(block.start + int(hits[0]))
-
-        _prime_sums(table.count, rows, find_dead)
-        for i in suspects:
-            if dead[i]:
-                p = round(math.exp(table.log_primes[min(dead[i])]))
-                raise SingularFactorError(
-                    f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
-                )
+    # term is log1p(-1) = -inf, and only a row with a -inf term and no +inf
+    # or nan sums to -inf: the summing pass has named its first.
+    for i in range(k):
+        if sums[i] == -math.inf:
+            p = round(math.exp(table.log_primes[firsts[i]]))
+            raise SingularFactorError(
+                f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
+            )
     # A real point has one row: complex(re) has imaginary part +0.0.
     if real:
         return [coeff * complex(re) for re in sums]
@@ -551,7 +549,7 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
         _prime_powers([s], table.log_primes[block], w.reshape(1, -1))
         out[0], out[1] = w.real, w.imag
 
-    head = complex(*_prime_sums(table.count, 2, terms))
+    head = complex(*_prime_sums(table.count, 2, terms)[0])
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z).value  # raises SingularityError when x = 1
 

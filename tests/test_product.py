@@ -148,10 +148,10 @@ def test_log_raw_singular_factor():
 
 @pytest.mark.parametrize("s", [0, 1e-18, 0j])
 @pytest.mark.parametrize("variant", [ZETA, INVERSE])
-def test_dead_factor_is_found_after_the_sum(s, variant, monkeypatch):
+def test_dead_factor_is_found_in_the_summing_pass(s, variant, monkeypatch):
     # Blocks of 7 put the dead factor of prime 2 in the first of many
-    # blocks.  Its -inf term reaches the sum, and only then is the table
-    # scanned for it, without a numpy warning on the way.
+    # blocks.  The pass that sums its -inf term also names its prime,
+    # without a numpy warning on the way.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -252,8 +252,8 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     # Blocks of 7 split the 1229 primes into 176, dealt to two workers.
     # Every block a worker takes writes its terms into one half of that
     # worker's one array and their intermediate values into the other, of
-    # the same shape, so a call, and the second call that finds a dead
-    # factor, shows at most two addresses.
+    # the same shape, so a call shows at most two addresses.  A dead factor
+    # is named by the call that sums it: six sums make six calls.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     fake_cores(monkeypatch, 2)
     prime_sums = product._prime_sums
@@ -279,7 +279,7 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     with pytest.raises(SingularFactorError) as info:
         log_raw_product(1e-18, table_1e4, ZETA)
     assert info.value.prime == 2
-    assert len(calls) == 7
+    assert len(calls) == 6
     for addresses in calls:
         assert len(addresses) == 176
         assert len(set(addresses)) <= 2
@@ -305,7 +305,7 @@ def test_prime_sums_equal_fsum_at_every_width():
     rng = np.random.default_rng(2005)
     for width in range(301):
         terms = rng.standard_normal((2, width)) * np.exp(rng.uniform(-40, 40, (2, width)))
-        sums = product._prime_sums(width, 2, writes(terms))
+        sums, _ = product._prime_sums(width, 2, writes(terms))
         assert sums == [math.fsum(row) for row in terms.tolist()]
 
 
@@ -325,7 +325,7 @@ def test_prime_sums_error_bound(values, block_terms):
     # the 3.6e-69 as a partial of its own, so fsum rounds up.
     terms = np.array([values], dtype=np.float64).reshape(1, len(values))
     with mock.patch.object(product, "_BLOCK_TERMS", block_terms):
-        (total,) = product._prime_sums(len(values), 1, writes(terms))
+        (total,), _ = product._prime_sums(len(values), 1, writes(terms))
     exact = sum(map(Fraction, values), Fraction(0))
     magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
     bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
@@ -347,7 +347,7 @@ def assert_exact_to_bound(values):
     """One _prime_sums row of ``values`` is math.fsum's, and within the
     documented 2^-53 |exact| + n 2^-104 sum|x| of the exact sum."""
     terms = np.array([values])
-    (total,) = product._prime_sums(len(values), 1, writes(terms))
+    (total,), _ = product._prime_sums(len(values), 1, writes(terms))
     exact = sum(map(Fraction, values), Fraction(0))
     magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
     bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
@@ -383,14 +383,14 @@ def test_prime_sums_do_not_raise_on_overflow(monkeypatch):
     # math.fsum raises on both infinities; an inf or a nan decides a sum by
     # IEEE addition, also across blocks and workers.
     terms = np.array([[math.inf, -math.inf], [math.inf, 1.0]])
-    both, overflow = product._prime_sums(2, 2, writes(terms))
+    (both, overflow), _ = product._prime_sums(2, 2, writes(terms))
     assert math.isnan(both)
     assert overflow == math.inf
     # Blocks of one term, dealt to two workers: each takes one infinity.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 1)
     fake_cores(monkeypatch, 2)
     terms = np.concatenate([terms, np.ones((2, 7))], axis=1)
-    both, overflow = product._prime_sums(9, 2, writes(terms))
+    (both, overflow), _ = product._prime_sums(9, 2, writes(terms))
     assert math.isnan(both)
     assert overflow == math.inf
 
@@ -472,17 +472,35 @@ def test_the_caller_never_changes_its_cpu_affinity(table_1e4, monkeypatch):
     assert log_raw_product(0.8 + 17.0j, table_1e4, ZETA) == value
 
 
+def dead_at(p: int) -> complex:
+    """s = 1e-18 + 2 pi i / log p, where p^-s rounds to 1.  For p = 3, 7919
+    or 9973 it is the only prime up to 10^4 whose Euler factor vanishes
+    there; the ratio's factors, 1 + p^-s, do not."""
+    return 1e-18 + 2j * math.pi / math.log(p)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("s", [0j, 1e-18, 1e-18 + 1e-300j])
-def test_dead_factor_is_the_least_over_all_workers(table_1e4, monkeypatch, s, workers):
+@pytest.mark.parametrize(
+    "s, prime",
+    [
+        pytest.param(s, prime, id=str(s))
+        for s, prime in [(0j, 2), (1e-18, 2), (1e-18 + 1e-300j, 2),
+                         (dead_at(7919), 7919), (dead_at(9973), 9973)]
+    ],
+)
+def test_dead_factor_is_the_least_over_all_workers(
+    table_1e4, monkeypatch, s, prime, workers
+):
     # At s = 0 every factor vanishes, so every worker finds one; at 1e-18
-    # only prime 2's does.  The search names the least prime either way.
+    # only prime 2's does.  Blocks of 7 put 7919 and 9973 in blocks 142 and
+    # 175, the last: on 2 cores 9973's is the second share's, on 3 both
+    # are.  The summing pass names the least prime whose factor vanishes.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     fake_cores(monkeypatch, workers)
     for variant in (ZETA, INVERSE):
         with pytest.raises(SingularFactorError) as info:
             log_raw_product(s, table_1e4, variant)
-        assert info.value.prime == 2
+        assert info.value.prime == prime
 
 
 def test_workers_raise_no_numpy_warning_where_p_s_overflows(table_1e4, monkeypatch):
@@ -623,20 +641,24 @@ def test_a_batch_sums_each_point_as_its_own_call(x):
         ([2.0, 0.5, 1e-18, 3.0, 0j], 1e-18),
         ([0.8 + 1j, 1e-18 + 1e-300j, 0.5 - 3j, 1e-17 + 1e-20j], 1e-18 + 1e-300j),
         ([0.9, 1e-18 + 0j], 1e-18),
+        ([0.8 + 1j, dead_at(9973), 0.5 - 3j, dead_at(7919)], dead_at(9973)),
     ],
 )
 @pytest.mark.parametrize("variant", [ZETA, INVERSE])
 def test_a_dead_factor_in_a_batch_raises_as_its_point_does(points, dead, variant):
     # The first point of the sequence whose factor vanishes raises the
-    # single call's SingularFactorError, message and prime 2 included.
-    table = sieve(100)
+    # single call's SingularFactorError, message and prime included, also
+    # where a later point of its batch would name a lesser prime (7919).
+    # At x = 10^4 a batch holds up to 26 points, so each list makes one
+    # batch per kind of point.
+    table = sieve(10**4)
     with pytest.raises(SingularFactorError) as alone:
         log_raw_product(dead, table, variant)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularFactorError) as batched:
             log_raw_product(points, table, variant)
-    assert batched.value.prime == alone.value.prime == 2
+    assert batched.value.prime == alone.value.prime
     assert str(batched.value) == str(alone.value)
 
 
