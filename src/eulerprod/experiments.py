@@ -1,15 +1,16 @@
 """Grid scans and error-decay measurements for corrected Euler products.
 
-``evaluate`` is the one place where a corrected product is compared with
-its reference: it evaluates the product at EXPERIMENT_ORDER, asks the
-variant for the independent zeta reference and returns the ScanRow with
-both errors.  Scans sweep s along the real axis or up a vertical line and
-make one row per grid point with it, handing it the grid in the batches
-that one kernel call sums (eulerprod.product.batches); each row equals
-the point's own.  Decay experiments make one row per
-truncation x, measure how the absolute error shrinks as x grows and fit
-the exponent, which should land near 1/2 - sigma, to the explicit
-formula's model C x^(1/2 - sigma) / log x (see DecayFit).
+Every product here is evaluated at EXPERIMENT_ORDER and compared with the
+variant's independent zeta reference in one place, ``_compare``, which
+makes the ScanRow with both errors.  ``evaluate`` does both at one point
+or a sequence of points.  Scans sweep s along the real axis or up a
+vertical line and make one row per grid point with it, handing it the
+grid in the batches that one kernel call sums (eulerprod.product.batches);
+each row equals the point's own.  Decay experiments make one row per
+truncation x, all from one corrected_product call and one reference, each
+row ``evaluate``'s at that x; they measure how the absolute error shrinks
+as x grows and fit the exponent, which should land near 1/2 - sigma, to
+the explicit formula's model C x^(1/2 - sigma) / log x (see DecayFit).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
-from .product import Evaluation, ProductVariant, batches, corrected_product
+from .product import Evaluation, ProductVariant, batches, corrected_product, refuse_pole
 
 #: Real-axis scans skip grid points closer than this to the pole at s = 1.
 POLE_GUARD = 0.05
@@ -128,7 +129,7 @@ class ScanRow:
     """One CSV row: a product value at s = sigma + i t and truncation x,
     compared with its reference.
 
-    ``evaluate`` makes every compared row.  Real-axis scans record the
+    ``_compare`` makes every compared row.  Real-axis scans record the
     error between Re(value) and the (real) reference, vertical-line scans
     between the two moduli, matching what the corresponding plots show;
     single points and decay fits record |value - reference|.  ``rel_err``
@@ -187,13 +188,13 @@ def evaluate(
     """
     evaluations = corrected_product(s, table, variant, order=EXPERIMENT_ORDER)
     if isinstance(evaluations, Evaluation):
-        return _compare(evaluations, mode)
-    return [_compare(ev, mode) for ev in evaluations]
+        return _compare(evaluations, mode, variant.reference(evaluations.s))
+    return [_compare(ev, mode, variant.reference(ev.s)) for ev in evaluations]
 
 
-def _compare(ev: Evaluation, mode: Optional[ScanMode]) -> ScanRow:
-    """``ev`` as a ScanRow, with its reference and the error ``mode`` picks."""
-    reference = ev.variant.reference(ev.s)
+def _compare(ev: Evaluation, mode: Optional[ScanMode], reference: complex) -> ScanRow:
+    """``ev`` as a ScanRow, compared with ``reference``, its variant's
+    reference at ev.s, by the error ``mode`` picks."""
     if mode is ScanMode.REAL_AXIS:
         abs_err = abs(ev.value.real - reference.real)
     elif mode is ScanMode.VERTICAL_LINE:
@@ -261,11 +262,16 @@ def error_decay(
 
     The grid must be ascending with at least 4 points, start at 2 or more
     (so log x > 0) and span at least two decades.  One table is sieved to
-    max(x_grid) (or taken from ``table``) and masked downwards per point;
-    each x is evaluated once, by ``evaluate``.  Errors below the
+    max(x_grid) (or taken from ``table``), and one corrected_product call
+    evaluates s at every x of the grid: one kernel pass over that table
+    sums each x's prefix of it (see eulerprod.product._prime_sums), so the
+    grid costs one evaluation at its largest x and each smaller x's last,
+    partial block of primes.  The reference is asked for once, and each
+    row equals ``evaluate``'s at ``table.truncate(x)``.  Errors below the
     double-precision noise floor are dropped from the fit; fewer than 4
-    survivors raise InsufficientDataError.  Re(s) <= 1/2 raises DomainError
-    and a bad grid ValueError, both before anything is sieved.
+    survivors raise InsufficientDataError.  Re(s) <= 1/2 raises
+    DomainError, a bad grid ValueError and s = 1 SingularityError, all
+    before anything is sieved.
     """
     s = complex(s)
     if s.real <= 0.5:
@@ -279,9 +285,14 @@ def error_decay(
         raise ValueError(f"x grid must start at 2 or more, got {x_grid[0]}")
     if x_grid[-1] < 100 * x_grid[0]:
         raise ValueError("x grid must span at least two decades")
+    refuse_pole([s])
     if table is None:
         table = sieve(x_grid[-1])
-    rows = tuple(evaluate(s, table.truncate(x), variant) for x in x_grid)
+    evaluations = corrected_product(
+        s, table, variant, order=EXPERIMENT_ORDER, limits=x_grid
+    )
+    reference = variant.reference(s)
+    rows = tuple(_compare(ev, None, reference) for ev in evaluations)
     surviving = [row for row in rows if row.abs_err >= ERROR_NOISE_FLOOR]
     if len(surviving) < 4:
         raise InsufficientDataError(

@@ -62,8 +62,9 @@ class PrimeTable:
     def truncate(self, limit: int) -> "PrimeTable":
         """View of this table restricted to primes <= ``limit``.
 
-        Cheap (a numpy slice shares storage); used by decay experiments that
-        sieve once to the largest x and mask downwards, and by prime_pi.
+        Cheap (a numpy slice shares storage); used where one table serves
+        several truncations (the ``limits`` of eulerprod.product's sums, which
+        decay experiments pass) and by prime_pi.
         """
         if limit > self.limit:
             raise DomainError(

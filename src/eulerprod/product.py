@@ -49,8 +49,11 @@ point per call wherever the table needs more than half a block.  A
 batch's terms are rows of the same block, so block boundaries do not move
 and a worker's array still holds at most 1 MiB, and each row goes through
 exactly its own point's operations: a batch gives every point the bits
-of its own call.  Scans hand their grids to the kernel in these batches;
-eval and decay evaluate batches of one.
+of its own call.  Scans hand their grids to the kernel in these batches,
+and eval a batch of one.  Decay hands its one point and every truncation
+x of its grid to one call, which sums each x's prefix of the deepest
+table in one pass over it (``limits`` of log_raw_product and
+corrected_product): each prefix gets the bits of its own call.
 
 A sum has one worker, the calling thread, unless it spans at least
 _BLOCKS_PER_WORKER blocks per worker: on two
@@ -89,7 +92,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Number
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -177,21 +180,37 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
-    """Sums of ``count`` per-prime terms in ``rows`` quantities.
+def _prime_sums(
+    counts: int | Sequence[int], rows: int, terms
+) -> tuple[list[float], list[int]] | list[tuple[list[float], list[int]]]:
+    """Sums of the first c per-prime terms in ``rows`` quantities, for each
+    count c of ``counts``, one count or a sequence of counts, in one pass.
 
     ``terms(block, out, work)`` writes the terms of ``block``, a slice of
-    range(count), into ``out``, shape (rows, len(block)): one contiguous row
-    per quantity.  ``work``, of ``out``'s shape and as contiguous, is
-    ``terms``'s own until it returns; both are the two halves of one work
-    array per worker, of 2 ``rows`` times min(count, _BLOCK_TERMS) floats.
-    Returns one sum per quantity (no terms sum to 0) and, per quantity, the
-    index of its first -inf term, or ``count`` where it has none.  The
-    quantities may be those of a batch of points (see batches), whose size
-    keeps that array at most 1 MiB.  Each row's largest term and splitting
-    constants come from one array operation over the rows, and only rows
-    that hold an inf or a nan are added up one by one, in place: a row's
-    sum does not depend on the rows beside it.
+    range(max(counts)), into ``out``, shape (rows, len(block)): one
+    contiguous row per quantity.  ``work``, of ``out``'s shape and as
+    contiguous, is ``terms``'s own until it returns; both are the two halves
+    of one work array per worker, of 2 ``rows`` times min(max(counts),
+    _BLOCK_TERMS) floats.  For each count it gives one sum per quantity (no
+    terms sum to 0) and, per quantity, the index of its first -inf term
+    below the count, or the count where it has none: one count gives that
+    pair, a sequence one pair per count, in order.  The quantities may be
+    those of a batch of points (see batches), whose size keeps that array
+    at most 1 MiB.  Each row's largest term and splitting constants come
+    from one array operation over the rows, and only rows that hold an inf
+    or a nan are added up one by one, in place: a row's sum does not depend
+    on the rows beside it.
+
+    A count c's blocks, with B = _BLOCK_TERMS, are the full blocks
+    [jB, (j+1)B) for j < c // B and its tail [(c // B) B, c), where c is
+    no multiple of B: the blocks of a call over c terms alone.  The pass
+    sums each block of every count once, so its work is the full blocks
+    below the largest count and one tail per count; the largest count's
+    tail is its last block.  A count's sums are one math.fsum over its own
+    blocks' partial sums, and its first -inf term the least of its own
+    blocks': each count gets the bits of its own call by construction.
+    Decay up to x = 10^8 sums 5,794,457 terms for its five counts, where
+    five calls would sum 6,515,353.
 
     Every finite term of a block of n must lie below 2^(1023-m), where m is
     the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
@@ -203,20 +222,19 @@ def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
     infinities, and +-inf otherwise.  Only such a row can hold a -inf
     term, so this pass finds its first: every -inf sum has one.
 
-    A call of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
+    A pass of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
     thread.  A larger one reads the caller's CPU affinity once and deals
-    its blocks, strided, to W shares, W the most of the affinity's cores
-    that leaves each share _BLOCKS_PER_WORKER blocks or more.  With W > 1 a
-    pool of W threads sums the shares, each thread kept to its own core of
-    the affinity where the OS allows it, and the calling thread only waits:
-    its affinity is never changed.  numpy releases the GIL for a block's
-    passes, so the workers run at once; ``terms`` may be called from any
-    of them.  Each block's sums are the same whichever worker makes them,
-    and all reach one final math.fsum unrounded, which is exact and so
-    independent of their order: the bits do not depend on W.  A share's
-    blocks ascend, so a row's first -inf term is the least of the shares'.
-    The first failing share's exception, in share order, is raised in the
-    caller once every pool thread has ended.
+    its blocks, ascending and strided, to W shares, W the most of the
+    affinity's cores that leaves each share _BLOCKS_PER_WORKER blocks or
+    more.  With W > 1 a pool of W threads sums the shares, each thread kept
+    to its own core of the affinity where the OS allows it, and the calling
+    thread only waits: its affinity is never changed.  numpy releases the
+    GIL for a block's passes, so the workers run at once; ``terms`` may be
+    called from any of them.  Each block's sums are the same whichever
+    worker makes them, and a count's all reach one final math.fsum
+    unrounded, which is exact and so independent of their order: the bits
+    do not depend on W.  The first failing share's exception, in share
+    order, is raised in the caller once every pool thread has ended.
 
     For n terms below 2^e, sigma = 2^(m+e) splits each x exactly into
     q = (x + sigma) - sigma, a multiple of 2^-53 sigma, and x - q.  The q
@@ -226,33 +244,45 @@ def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
     n^2 2^(2m+e-159) < 8 n^2 (n+2)^2 2^-159 max|x|, below n 2^-104 max|x|
     for n <= 2^17.  math.fsum adds the three sums of every block.
     """
-    starts = range(0, count, _BLOCK_TERMS)
+    one = isinstance(counts, int)
+    counts = [counts] if one else list(counts)
+    top = max(counts, default=0)
+
+    def blocks(count: int) -> list[tuple[int, int]]:
+        starts = range(0, count, _BLOCK_TERMS)
+        return [(start, min(start + _BLOCK_TERMS, count)) for start in starts]
+
+    units = sorted({block for count in counts for block in blocks(count)})
     mask: set[int] = set()
-    if len(starts) >= 2 * _BLOCKS_PER_WORKER:  # smaller sums make no syscall
+    if len(units) >= 2 * _BLOCKS_PER_WORKER:  # smaller sums make no syscall
         try:
             mask = os.sched_getaffinity(0)
         except AttributeError:  # an OS without affinities: any core
             mask = set(range(os.cpu_count() or 1))
-    workers = max(1, min(len(mask), len(starts) // _BLOCKS_PER_WORKER))
-    width = min(count, _BLOCK_TERMS)
-    span = rows * width
+    workers = max(1, min(len(mask), len(units) // _BLOCKS_PER_WORKER))
+    span = rows * min(top, _BLOCK_TERMS)
+    # Per block units[j] and row i: its three partial sums, finite[j, :, i],
+    # and, for a row decided by IEEE addition, decided[j, i].  Each worker
+    # writes only its own blocks' entries.
+    finite = np.empty((len(units), 3, rows))
+    decided: dict[tuple[int, int], tuple[float, int]] = {}
 
-    def partials(mine: range, work: np.ndarray) -> list[tuple[list[float], float, int]]:
-        """Per row, the unrounded partial sums over the finite rows of the
-        blocks starting at ``mine``, the IEEE sum of the others and the
-        first -inf term's index, made in ``work`` (2 ``span`` floats)."""
-        sums = [np.zeros(rows)]  # per block and level, one sum per quantity
-        special = np.zeros(rows)
-        first = [count] * rows
+    def partials(mine: range, work: np.ndarray) -> None:
+        """Sums the blocks units[j] for j in ``mine``, made in ``work`` (2
+        ``span`` floats): per row, the unrounded partial sums over the
+        block's finite rows into ``finite``, and for every other row its
+        IEEE sum and the index of its first -inf term, ``top`` where it has
+        none, into ``decided``."""
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in mine:
-                n = min(_BLOCK_TERMS, count - start)
+            for j in mine:
+                start, stop = units[j]
+                n = stop - start
                 x = work[: rows * n].reshape(rows, n)
                 q = work[span : span + rows * n].reshape(rows, n)
-                terms(slice(start, start + n), x, q)
+                terms(slice(start, stop), x, q)
                 m = (n + 1).bit_length()
                 tops = np.maximum.reduce(np.abs(x, out=q), axis=1)
                 # An inf or nan top marks a row decided by IEEE addition.  The
@@ -261,22 +291,21 @@ def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
                 if not math.isfinite(np.add.reduce(tops)):
                     for i in np.flatnonzero(~np.isfinite(tops)):
                         hits = np.flatnonzero(x[i] == -math.inf)
-                        if hits.size and first[i] == count:
-                            first[i] = start + int(hits[0])
-                        special[i] += np.add.reduce(x[i])
+                        first = start + int(hits[0]) if hits.size else top
+                        decided[j, int(i)] = (float(np.add.reduce(x[i])), first)
                         x[i] = 0.0
                         tops[i] = 0.0
                 sigma = np.ldexp(1.0, m + np.frexp(tops)[1])[:, None]
-                for level in (sigma, sigma * 2.0 ** (m - 53)):
+                for k, level in enumerate((sigma, sigma * 2.0 ** (m - 53))):
                     np.add(x, level, out=q)
                     np.subtract(q, level, out=q)
                     np.subtract(x, q, out=x)
-                    sums.append(np.add.reduce(q, axis=1))
-                sums.append(np.add.reduce(x, axis=1))
-        return list(zip(np.transpose(sums).tolist(), special.tolist(), first))
+                    np.add.reduce(q, axis=1, out=finite[j, k])
+                np.add.reduce(x, axis=1, out=finite[j, 2])
 
+    shares = [range(k, len(units), workers) for k in range(workers)]
     if workers == 1:
-        parts = [partials(starts, np.empty(2 * span))]
+        partials(shares[0], np.empty(2 * span))
     else:
         # concurrent.futures imports logging, which only a large sum pays for.
         from concurrent.futures import ThreadPoolExecutor
@@ -286,7 +315,6 @@ def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
         # long one-thread run such as the sieve): each pool thread keeps to
         # the next core of the affinity.
         cores = iter(sorted(mask))
-        shares = [starts[k::workers] for k in range(workers)]
         # Made here, the work arrays reuse the calling thread's freed heap;
         # made in each pool thread's own malloc arena, they took fresh pages
         # (decay up to 10^8 grew VmHWM by 74.2-74.3 MiB, not 70.7-71.9).
@@ -294,14 +322,23 @@ def _prime_sums(count: int, rows: int, terms) -> tuple[list[float], list[int]]:
         with ThreadPoolExecutor(
             workers, initializer=lambda: _keep_to({next(cores)})
         ) as pool:
-            parts = list(pool.map(partials, shares, works))
-    by_row = list(zip(*parts))
-    sums = [
-        math.fsum(v for finite, _, _ in row for v in finite)
-        + sum(special for _, special, _ in row)
-        for row in by_row
-    ]
-    return sums, [min(first for _, _, first in row) for row in by_row]
+            list(pool.map(partials, shares, works))
+    where = {block: j for j, block in enumerate(units)}
+
+    def total(count: int) -> tuple[list[float], list[int]]:
+        mine = [where[block] for block in blocks(count)]
+        by_row = finite[mine].transpose(2, 0, 1).reshape(rows, -1).tolist()
+        others: list[list[float]] = [[] for _ in by_row]
+        firsts = [count] * rows
+        own = set(mine)
+        for (j, i), (other, first) in decided.items():
+            if j in own:
+                others[i].append(other)
+                firsts[i] = min(firsts[i], first)
+        return [math.fsum(a) + sum(b) for a, b in zip(by_row, others)], firsts
+
+    results = [total(count) for count in counts]
+    return results[0] if one else results
 
 
 def _keep_to(cores: set[int]) -> None:
@@ -361,9 +398,20 @@ def batches(points: Sequence[complex], table: PrimeTable) -> Iterator[list[compl
         yield batch
 
 
+def _per_limit(values: list[list], one: bool, limits: Optional[Sequence[int]]):
+    """``values[c][i]``, for the c-th truncation and the i-th point, in the
+    shape a call returns: per point as ``_points`` read them, and one such
+    result per limit where ``limits`` were given."""
+    per_limit = [row[0] if one else row for row in values]
+    return per_limit[0] if limits is None else per_limit
+
+
 def log_raw_product(
-    s: complex | Sequence[complex], table: PrimeTable, variant: ProductVariant
-) -> complex | list[complex]:
+    s: complex | Sequence[complex],
+    table: PrimeTable,
+    variant: ProductVariant,
+    limits: Optional[Sequence[int]] = None,
+) -> complex | list:
     """Sum of per-prime log factors for the truncated product, uncorrected.
 
     Zeta:        -sum log(1 - p^-s)
@@ -375,23 +423,37 @@ def log_raw_product(
     bit.  Each of its batches (see ``batches``) is one call of the kernel:
     B points of real s write B rows of terms, others 2B.
 
+    ``limits``, truncations x up to table.limit, asks for the sums over
+    p <= x for each x instead, in order: one result per limit, each that of
+    a call over table.truncate(x), bit for bit.  Each batch is still one
+    kernel call, which sums every limit's prefix of the table in one pass
+    (see _prime_sums).
+
     Raises SingularFactorError if some factor vanishes at s (possible only
     outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
     term's log1p argument rounds to -1, as for prime 2 at s = 1e-18 and at
     s = 1e-18 + 1e-300i), naming the least such prime, which the batch's
     one kernel call finds; a sequence raises it for its first such point.
+    With ``limits`` it is raised where some limit reaches that prime.
     """
     points, one = _points(s)
-    sums = []
+    if limits is None:
+        counts = [table.count]
+    else:
+        counts = [table.truncate(x).count for x in limits]
+    sums = [[] for _ in counts]
     for batch in batches(points, table):
-        sums += _log_raw_sums(batch, table, variant)
-    return sums[0] if one else sums
+        for total, part in zip(sums, _log_raw_sums(batch, table, variant, counts)):
+            total += part
+    return _per_limit(sums, one, limits)
 
 
 def _log_raw_sums(
-    batch: list[complex], table: PrimeTable, variant: ProductVariant
-) -> list[complex]:
-    """log_raw_product of one batch, in one call of the kernel."""
+    batch: list[complex], table: PrimeTable, variant: ProductVariant, counts: list[int]
+) -> list[list[complex]]:
+    """log_raw_product of one batch over the first c primes of ``table``
+    for each c of ``counts``, per count and then per point, in one call of
+    the kernel."""
     coeff, sign = _SHAPE[variant]
     k = len(batch)
 
@@ -423,20 +485,34 @@ def _log_raw_sums(
 
     real = _is_real(batch[0])  # every p^-s of the batch is real
     terms, rows = (real_terms, k) if real else (complex_terms, 2 * k)
-    sums, firsts = _prime_sums(table.count, rows, terms)
+    per_count = _prime_sums(counts, rows, terms)
     # Row i holds the real parts of point i's terms.  A vanishing factor's
     # term is log1p(-1) = -inf, and only a row with a -inf term and no +inf
     # or nan sums to -inf: the summing pass has named its first.
     for i in range(k):
-        if sums[i] == -math.inf:
-            p = round(math.exp(table.log_primes[firsts[i]]))
-            raise SingularFactorError(
-                f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
-            )
+        for sums, firsts in per_count:
+            if sums[i] == -math.inf:
+                p = round(math.exp(table.log_primes[firsts[i]]))
+                raise SingularFactorError(
+                    f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
+                )
     # A real point has one row: complex(re) has imaginary part +0.0.
     if real:
-        return [coeff * complex(re) for re in sums]
-    return [coeff * complex(re, im) for re, im in zip(sums[:k], sums[k:])]
+        return [[coeff * complex(re) for re in sums] for sums, _ in per_count]
+    return [
+        [coeff * complex(re, im) for re, im in zip(sums[:k], sums[k:])]
+        for sums, _ in per_count
+    ]
+
+
+def refuse_pole(points: Sequence[complex]) -> None:
+    """Raises SingularityError if s = 1 is one of ``points``: see
+    corrected_product."""
+    if 1 in points:
+        raise SingularityError(
+            "s = 1 is excluded (pole of the zeta product, zero of its inverse); "
+            "use mertens_ratio for the limiting behaviour at s = 1"
+        )
 
 
 def corrected_product(
@@ -444,12 +520,18 @@ def corrected_product(
     table: PrimeTable,
     variant: ProductVariant = ProductVariant.ZETA,
     order: int = 1,
-) -> Evaluation | list[Evaluation]:
+    limits: Optional[Sequence[int]] = None,
+) -> Evaluation | list:
     """Truncated Euler product at s with its exponential-integral correction.
 
     ``s`` is one point, which gives an Evaluation, or a sequence of points,
     which gives a list of them in order; their log sums come from one
     log_raw_product call, and a sequence raises the first error met.
+    ``limits``, truncations x up to table.limit, gives one such result per
+    x, in order, each equal to that of a call over table.truncate(x), from
+    the same one log_raw_product call: a decay fit's truncations share one
+    pass over the deepest table.  The first error met, limit by limit, is
+    raised.
 
     s = 1 is a hard error: the zeta product has its pole and the inverse its
     zero exactly there, and the correction's argument (s-1) log x hits the
@@ -475,23 +557,22 @@ def corrected_product(
     if order not in (1, 2):
         raise ValueError(f"correction order must be 1 or 2, got {order!r}")
     points, one = _points(s)
-    if 1 in points:
-        raise SingularityError(
-            "s = 1 is excluded (pole of the zeta product, zero of its inverse); "
-            "use mertens_ratio for the limiting behaviour at s = 1"
-        )
-    log_raws = log_raw_product(points, table, variant)
+    refuse_pole(points)
+    log_raws = log_raw_product(points, table, variant, limits=limits)
+    per_limit = [(table.limit, log_raws)] if limits is None else zip(limits, log_raws)
     evaluations = [
-        _corrected(s, log_raw, table, variant, order) for s, log_raw in zip(points, log_raws)
+        [_corrected(s, log_raw, x, variant, order) for s, log_raw in zip(points, row)]
+        for x, row in per_limit
     ]
-    return evaluations[0] if one else evaluations
+    return _per_limit(evaluations, one, limits)
 
 
 def _corrected(
-    s: complex, log_raw: complex, table: PrimeTable, variant: ProductVariant, order: int
+    s: complex, log_raw: complex, x: int, variant: ProductVariant, order: int
 ) -> Evaluation:
-    """corrected_product at one point s whose log sum is ``log_raw``."""
-    log_x = math.log(table.limit) if table.limit >= 1 else 0.0
+    """corrected_product at one point s and truncation x whose log sum is
+    ``log_raw``."""
+    log_x = math.log(x) if x >= 1 else 0.0
     e1_result = e1((s - 1.0) * log_x)  # raises SingularityError when x = 1
     coeff, sign = _SHAPE[variant]
     correction = coeff * sign * e1_result.value
@@ -504,12 +585,11 @@ def _corrected(
         value = cmath.exp(log_raw + correction)
     except OverflowError:
         raise EulerProductError(
-            f"corrected product overflows double precision at s = {s}, "
-            f"x = {table.limit}"
+            f"corrected product overflows double precision at s = {s}, x = {x}"
         ) from None
     return Evaluation(
         s=s,
-        x=table.limit,
+        x=x,
         variant=variant,
         log_raw_product=log_raw,
         correction=correction,

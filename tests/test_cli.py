@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerprod import experiments
+from eulerprod import experiments, product, sieve
 from eulerprod.cli import CSV_HEADER, _fmt, _truncation, build_parser, main
 from eulerprod.primes import DEFAULT_MAX_LIMIT
 
@@ -116,21 +116,25 @@ def test_decay_rows_and_fit_summary(capsys):
     assert "target=-0.250000" in err
 
 
-def test_decay_evaluates_each_x_once(capsys, monkeypatch):
-    calls = []
-    original = experiments.corrected_product
+def test_decay_sums_every_x_in_one_kernel_pass(capsys, monkeypatch):
+    # One pass of the prime kernel over the table sieved to the largest x
+    # sums every x's prefix of it: pi(x) terms for each x, the largest the
+    # deepest table's count.  Each x still gets one row.
+    passes = []
+    original = product._prime_sums
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(counts, rows, terms):
+        passes.append(list(counts))
+        return original(counts, rows, terms)
 
-    monkeypatch.setattr(experiments, "corrected_product", counting)
+    monkeypatch.setattr(product, "_prime_sums", counting)
     x_grid = [100, 1000, 10000, 100000]
     code, out, _ = run_cli(capsys, "decay", "--sigma", "0.75", "--t", "5",
                            "--x-grid", ",".join(map(str, x_grid)))
     assert code == 0
-    assert len(parse_rows(out)) == len(x_grid)
-    assert len(calls) == len(x_grid)
+    assert [int(row["x"]) for row in parse_rows(out)] == x_grid
+    assert passes == [[25, 168, 1229, 9592]]
+    assert passes[0][-1] == sieve(x_grid[-1]).count
 
 
 def test_usage_error_exit_2(capsys):
@@ -168,6 +172,25 @@ def test_products_take_no_branch_side(capsys, argv):
         main([*argv, "--cut", "below"])
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_decay_at_the_pole_is_refused_before_sieving(capsys, monkeypatch):
+    # s = 1 is a numerical error (exit 1), found before the sieve runs: a
+    # grid up to 10^8 would take about 0.25 s and 75 MB to sieve first.
+    def sieve_refused(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(experiments, "sieve", sieve_refused)
+    code, out, err = run_cli(
+        capsys, "decay", "--sigma", "1", "--t", "0",
+        "--x-grid", "10000,100000,1000000,10000000,100000000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "eulerprod: error: s = 1 is excluded (pole of the zeta product, zero of "
+        "its inverse); use mertens_ratio for the limiting behaviour at s = 1\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -393,6 +394,120 @@ def test_prime_sums_do_not_raise_on_overflow(monkeypatch):
     (both, overflow), _ = product._prime_sums(9, 2, writes(terms))
     assert math.isnan(both)
     assert overflow == math.inf
+
+
+def separate_calls(counts, rows, terms):
+    """One _prime_sums call per count, sums as hex so that the bits compare."""
+    calls = [product._prime_sums(count, rows, writes(terms)) for count in counts]
+    return [([v.hex() for v in sums], firsts) for sums, firsts in calls]
+
+
+SHIPPED = product._BLOCK_TERMS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "block_terms, counts",
+    [
+        (7, [2, 5]),  # two counts inside one block
+        (7, [3, 14, 30]),  # one on a block boundary, the others in other blocks
+        (7, [0, 1, 5, 6, 7, 8, 60, 100, 101]),  # 15 full blocks, 2 workers
+        (SHIPPED, [1229, 9592]),
+        (SHIPPED, [1229, SHIPPED, SHIPPED + 1, 78498]),
+        (SHIPPED, [9592, 78498, 8 * SHIPPED + 5]),  # 9 full blocks, 2 workers
+    ],
+)
+def test_several_counts_give_each_count_the_bits_of_its_own_call(
+    monkeypatch, block_terms, counts, workers
+):
+    # One pass sums each count's own blocks: every count's sums and first
+    # -inf index are those of a call over that many terms, bit for bit,
+    # however many workers share the pass.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", block_terms)
+    fake_cores(monkeypatch, workers)
+    rng = np.random.default_rng(len(counts) + block_terms)
+    n = max(counts)
+    terms = rng.standard_normal((2, n)) * np.exp(rng.uniform(-40, 40, (2, n)))
+    one_pass = product._prime_sums(counts, 2, writes(terms))
+    assert [([v.hex() for v in sums], firsts) for sums, firsts in one_pass] == (
+        separate_calls(counts, 2, terms)
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block_terms", [7, SHIPPED])
+def test_a_minus_inf_past_a_count_is_named_for_larger_counts_only(
+    monkeypatch, block_terms, workers
+):
+    # Row 0 holds -inf at index d: the counts up to d do not reach it and
+    # sum finite, every larger count sums -inf and names d.  Row 1 has no
+    # -inf, and each count names its own length there.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", block_terms)
+    fake_cores(monkeypatch, workers)
+    d = 2 * block_terms + 3
+    counts = [d // 2, d, d + 1, 9 * block_terms + 1]
+    terms = np.random.default_rng(d).standard_normal((2, counts[-1]))
+    terms[0, d] = -math.inf
+    one_pass = product._prime_sums(counts, 2, writes(terms))
+    for count, (sums, firsts) in zip(counts, one_pass):
+        reached = count > d
+        assert (sums[0] == -math.inf) is reached and math.isfinite(sums[1])
+        assert firsts == [d if reached else count, count]
+    assert [([v.hex() for v in sums], firsts) for sums, firsts in one_pass] == (
+        separate_calls(counts, 2, terms)
+    )
+
+
+def test_no_worker_loses_a_row_decided_by_ieee_addition(monkeypatch):
+    # The workers record every block's rows that hold an inf in one shared
+    # table.  Row r holds one -inf per block from block r on, so each
+    # count's first -inf in row r lies in block r: a lost record of any of
+    # the first 8 blocks would name a later index.  Three workers on two
+    # cores, switching threads every microsecond, lose none.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    fake_cores(monkeypatch, 3)
+    rows, n = 8, 7 * 40
+    terms = np.ones((rows, n))
+    for r in range(rows):
+        for start in range(7 * r, n, 7):
+            terms[r, start + start // 7 % 7] = -math.inf
+    counts = [7 * 12 + 3, 7 * 30, n]
+    expected = [
+        [int(np.flatnonzero(row[:count] == -math.inf)[0]) for row in terms]
+        for count in counts
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            one_pass = product._prime_sums(counts, rows, writes(terms))
+            assert [firsts for _, firsts in one_pass] == expected
+            assert all(sums == [-math.inf] * rows for sums, _ in one_pass)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "points", [[0.8 + 14.0j], [2.0, 0.6 + 0.0j], [0.55 + 3.0j, 0.7 - 9.0j]]
+)
+def test_log_raw_over_several_limits_equals_a_call_per_truncation(table_1e5, points):
+    # One call over the deepest table gives, per limit, each point's sum
+    # over p <= x: a call over table.truncate(x), bit for bit, also for a
+    # limit that is no prime and for the table's own limit.
+    limits = [10, 1000, 2000, 10**5]
+    for variant in ProductVariant:
+        assert log_raw_product(points, table_1e5, variant, limits=limits) == [
+            log_raw_product(points, table_1e5.truncate(x), variant) for x in limits
+        ]
+        single = log_raw_product(points[0], table_1e5, variant, limits=limits)
+        assert single == [log_raw_product(points[0], table_1e5.truncate(x), variant)
+                          for x in limits]
+    with pytest.raises(SingularFactorError) as info:
+        log_raw_product(dead_at(7919), table_1e5, ZETA, limits=[100, 10**4])
+    assert info.value.prime == 7919
+    assert log_raw_product(dead_at(7919), table_1e5, ZETA, limits=[100, 7907]) == [
+        log_raw_product(dead_at(7919), table_1e5.truncate(x), ZETA) for x in (100, 7907)
+    ]
 
 
 # ------------------------------------------------------------------- workers
