@@ -4,13 +4,14 @@ Every product here is evaluated at EXPERIMENT_ORDER and compared with the
 variant's independent zeta reference in one place, ``_compare``, which
 makes the ScanRow with both errors.  ``evaluate`` does both at one point
 or a sequence of points.  Scans sweep s along the real axis or up a
-vertical line and make one row per grid point with it, handing it the
-grid in the batches that one kernel call sums (eulerprod.product.batches);
-each row equals the point's own.  Decay experiments make one row per
-truncation x, all from one corrected_product call and one reference, each
-row ``evaluate``'s at that x; they measure how the absolute error shrinks
-as x grows and fit the exponent, which should land near 1/2 - sigma, to
-the explicit formula's model C x^(1/2 - sigma) / log x (see DecayFit).
+vertical line and make one row per grid point with it, handing it their
+whole grid, which one kernel call sums in units of (batch, block) (see
+eulerprod.product); each row equals the point's own.  Decay experiments
+make one row per truncation x, all from one corrected_product call and
+one reference, each row ``evaluate``'s at that x; they measure how the
+absolute error shrinks as x grows and fit the exponent, which should land
+near 1/2 - sigma, to the explicit formula's model C x^(1/2 - sigma) / log x
+(see DecayFit).
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ import numpy as np
 
 from .errors import DomainError, EulerProductError, InsufficientDataError
 from .primes import PrimeTable, sieve
-from .product import Evaluation, ProductVariant, batches, corrected_product, refuse_pole
+from .product import (
+    Evaluation,
+    ProductVariant,
+    _batches,
+    corrected_product,
+    refuse_pole,
+)
 
 #: Real-axis scans skip grid points closer than this to the pole at s = 1.
 POLE_GUARD = 0.05
@@ -216,30 +223,31 @@ def _compare(ev: Evaluation, mode: Optional[ScanMode], reference: complex) -> Sc
 def scan(spec: ScanSpec, table: PrimeTable) -> list[ScanRow]:
     """Evaluate the corrected product over the spec's grid, in grid order.
 
-    ``table`` must have been sieved to exactly spec.x.  The grid goes to
-    ``evaluate`` in the batches one kernel call sums (see
-    eulerprod.product.batches).  A batch that fails is evaluated again
-    point by point, and each failing point becomes an error-flagged row
-    rather than aborting the scan.
+    ``table`` must have been sieved to exactly spec.x.  The whole grid goes
+    to ``evaluate``, whose one kernel call sums it in (batch, block) units
+    (see eulerprod.product._prime_sums).  If that fails, the grid is
+    evaluated again batch by batch, and a batch that fails point by point:
+    each failing point becomes an error-flagged row rather than aborting
+    the scan.
     """
     if table.limit != spec.x:
         raise DomainError(
             f"table sieved to {table.limit} but the scan requests x = {spec.x}"
         )
-    rows = []
-    for batch in batches(spec.grid(), table):
+
+    def rows(points: list[complex]) -> list[ScanRow]:
         try:
-            rows += evaluate(batch, table, spec.variant, spec.mode)
-            continue
-        except EulerProductError:
-            pass
-        for s in batch:
-            try:
-                rows.append(evaluate(s, table, spec.variant, spec.mode))
-            except EulerProductError as exc:
-                flag = f"error:{type(exc).__name__}"
-                rows.append(ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,)))
-    return rows
+            return evaluate(points, table, spec.variant, spec.mode)
+        except EulerProductError as exc:
+            if len(points) == 1:
+                s, flag = points[0], f"error:{type(exc).__name__}"
+                return [ScanRow(s.real, s.imag, spec.x, None, None, None, None, (flag,))]
+        parts = _batches(points, table)
+        if len(parts) == 1:  # one batch: its points
+            parts = [[s] for s in points]
+        return [row for part in parts for row in rows(part)]
+
+    return rows(spec.grid())
 
 
 def fit_decay_slope(

@@ -43,25 +43,27 @@ far left of the half-plane, where terms are inf or nan, a block's row of
 them is added up in place, and an inf or a nan decides the sum by IEEE
 addition.
 
-One call of the kernel may sum a batch of B points, B = _BLOCK_TERMS //
-count by the one rule of ``batches``: 26 at x = 10^4, 3 at 10^5, and one
-point per call wherever the table needs more than half a block.  A
-batch's terms are rows of the same block, so block boundaries do not move
-and a worker's array still holds at most 1 MiB, and each row goes through
-exactly its own point's operations: a batch gives every point the bits
-of its own call.  Scans hand their grids to the kernel in these batches,
-and eval a batch of one.  Decay hands its one point and every truncation
-x of its grid to one call, which sums each x's prefix of the deepest
-table in one pass over it (``limits`` of log_raw_product and
-corrected_product): each prefix gets the bits of its own call.
+One call of the kernel sums every point of a log_raw_product call, cut
+by ``_batches`` into batches of up to B = _BLOCK_TERMS // count points of
+one formula: 26 at x = 10^4, 3 at 10^5, and one point per batch wherever
+the table needs more than half a block.  A batch's terms are rows of the
+same block, so block boundaries do not move and a worker's array still
+holds at most 1 MiB, and each row goes through exactly its own point's
+operations: every point gets the bits of its own call.  The kernel's work
+units are (batch, block) pairs.  Scans hand it their whole grid, and eval
+a batch of one.  Decay hands its one point and every truncation x of its
+grid to one call, which sums each x's prefix of the deepest table in one
+pass over it (``limits`` of log_raw_product and corrected_product): each
+prefix gets the bits of its own call.
 
-A sum has one worker, the calling thread, unless it spans at least
-_BLOCKS_PER_WORKER blocks per worker: on two
-cores, from x of about 3.2 million (8 blocks).  Then a thread pool sums
-its blocks, one worker per core the process may use at the time of the
-call, each kept to its core, while the calling thread waits with its own
-affinity unchanged (see _prime_sums).  Every block's partial sums still
-reach one exact math.fsum, so the bits do not depend on the number of
+A sum has one worker, the calling thread, unless it has at least
+_BLOCKS_PER_WORKER units per worker: on two cores, 8 units, such as a scan
+of 8 batches or more, or one point from x of about 3.2 million (8 blocks).
+Then threads sum its units, one worker per core the process may use at
+the time of the call, each kept to its core, while the calling thread
+waits with its own affinity unchanged (see _prime_sums).  Every unit's
+partial sums still reach its batch's exact math.fsum, so the bits do not
+depend on the number of
 cores.  The result is within 2^-53 |sum| + n 2^-104 sum |term| of the
 exact sum of n terms; it equals one math.fsum over all terms unless that
 sum lies within about n 2^-104 sum |term| of a rounding boundary.  Every
@@ -89,10 +91,11 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Number
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,12 +140,17 @@ _SHAPE = {
 #: with 2^14.
 _BLOCK_TERMS = 1 << 15
 
-#: A sum takes W workers only with at least this many blocks per worker.
-#: Against one worker (2-vCPU VM, medians of 80 alternated calls, two
-#: runs), a second took 0.59-0.79 of the time of complex calls from 2
-#: blocks on, but 1.01-1.48 of real calls up to 6 blocks, 0.92-1.02 at 8
-#: and 0.85-0.93 from 10.  4 keeps x = 10^6 (3 blocks), where a second
-#: worker slows real calls, on one, and gives x = 10^7 (21 blocks) two.
+#: A sum takes W workers only with at least this many work units, (batch,
+#: block) pairs, per worker.  Against one worker (2-vCPU VM, medians of 80
+#: alternated calls, two runs), a second took 0.59-0.79 of the time of
+#: complex calls from 2 blocks on, but 1.01-1.48 of real calls up to 6
+#: blocks, 0.92-1.02 at 8 and 0.85-0.93 from 10.  4 keeps a point at
+#: x = 10^6 (3 blocks), where a second worker slows real calls, on one, and
+#: gives x = 10^7 (21 blocks) two.  A scan's units, one call for its whole
+#: grid, take two workers on two cores.  Against one (same VM, medians of
+#: 15 calls, alternated runs), two took 0.61-0.92 of the kernel time of the
+#: real-axis grid at x = 10^6 (280 points, 840 real units; 6 runs), and
+#: 0.56-0.89 of line-tall's 5,000 points at 10^4 (193 complex units; 5).
 _BLOCKS_PER_WORKER = 4
 
 
@@ -180,9 +188,7 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(
-    counts: int | Sequence[int], rows: int, terms
-) -> tuple[list[float], list[int]] | list[tuple[list[float], list[int]]]:
+def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
     """Sums of the first c per-prime terms in ``rows`` quantities, for each
     count c of ``counts``, one count or a sequence of counts, in one pass.
 
@@ -190,16 +196,21 @@ def _prime_sums(
     range(max(counts)), into ``out``, shape (rows, len(block)): one
     contiguous row per quantity.  ``work``, of ``out``'s shape and as
     contiguous, is ``terms``'s own until it returns; both are the two halves
-    of one work array per worker, of 2 ``rows`` times min(max(counts),
-    _BLOCK_TERMS) floats.  For each count it gives one sum per quantity (no
-    terms sum to 0) and, per quantity, the index of its first -inf term
-    below the count, or the count where it has none: one count gives that
-    pair, a sequence one pair per count, in order.  The quantities may be
-    those of a batch of points (see batches), whose size keeps that array
-    at most 1 MiB.  Each row's largest term and splitting constants come
-    from one array operation over the rows, and only rows that hold an inf
-    or a nan are added up one by one, in place: a row's sum does not depend
-    on the rows beside it.
+    of one work array per worker.  For each count it gives one sum per
+    quantity (no terms sum to 0) and, per quantity, the index of its first
+    -inf term below the count, or the count where it has none: one count
+    gives that pair, a sequence one pair per count, in order.  Each row's
+    largest term and splitting constants come from one array operation over
+    the rows, and only rows that hold an inf or a nan are added up one by
+    one, in place: a row's sum does not depend on the rows beside it.
+
+    ``rows`` and ``terms`` may instead be sequences, one entry per batch:
+    each batch brings its own quantities and its own ``terms``, and gets
+    the result that a call over it alone gives, one result per batch in
+    order.  The pass's work units are then (batch, block) pairs, batch by
+    batch, and a worker's array holds 2 max(rows) times min(max(counts),
+    _BLOCK_TERMS) floats: log_raw_product cuts its points into batches
+    (see _batches) that keep it at most 1 MiB.
 
     A count c's blocks, with B = _BLOCK_TERMS, are the full blocks
     [jB, (j+1)B) for j < c // B and its tail [(c // B) B, c), where c is
@@ -222,19 +233,19 @@ def _prime_sums(
     infinities, and +-inf otherwise.  Only such a row can hold a -inf
     term, so this pass finds its first: every -inf sum has one.
 
-    A pass of fewer than 2 _BLOCKS_PER_WORKER blocks runs on the calling
+    A pass of fewer than 2 _BLOCKS_PER_WORKER units runs on the calling
     thread.  A larger one reads the caller's CPU affinity once and deals
-    its blocks, ascending and strided, to W shares, W the most of the
-    affinity's cores that leaves each share _BLOCKS_PER_WORKER blocks or
-    more.  With W > 1 a pool of W threads sums the shares, each thread kept
-    to its own core of the affinity where the OS allows it, and the calling
-    thread only waits: its affinity is never changed.  numpy releases the
-    GIL for a block's passes, so the workers run at once; ``terms`` may be
-    called from any of them.  Each block's sums are the same whichever
-    worker makes them, and a count's all reach one final math.fsum
-    unrounded, which is exact and so independent of their order: the bits
-    do not depend on W.  The first failing share's exception, in share
-    order, is raised in the caller once every pool thread has ended.
+    its units, in order and strided, to W shares, W the most of the
+    affinity's cores that leaves each share _BLOCKS_PER_WORKER units or
+    more.  With W > 1, W threads sum the shares, each kept to its own core
+    of the affinity where the OS allows it, and the calling thread only
+    waits: its affinity is never changed.  numpy releases the GIL for a
+    block's passes, so the workers run at once; ``terms`` may be called
+    from any of them.  Each unit's sums are the same whichever worker makes
+    them, and a count's all reach one final math.fsum unrounded, which is
+    exact and so independent of their order: the bits do not depend on W.
+    The first failing share's exception, in share order, is raised in the
+    caller once every thread has ended.
 
     For n terms below 2^e, sigma = 2^(m+e) splits each x exactly into
     q = (x + sigma) - sigma, a multiple of 2^-53 sigma, and x - q.  The q
@@ -246,13 +257,16 @@ def _prime_sums(
     """
     one = isinstance(counts, int)
     counts = [counts] if one else list(counts)
+    alone = isinstance(rows, int)
+    rows, terms = ([rows], [terms]) if alone else (list(rows), list(terms))
     top = max(counts, default=0)
 
     def blocks(count: int) -> list[tuple[int, int]]:
         starts = range(0, count, _BLOCK_TERMS)
         return [(start, min(start + _BLOCK_TERMS, count)) for start in starts]
 
-    units = sorted({block for count in counts for block in blocks(count)})
+    ranges = sorted({block for count in counts for block in blocks(count)})
+    units = [(b, j) for b in range(len(rows)) for j in range(len(ranges))]
     mask: set[int] = set()
     if len(units) >= 2 * _BLOCKS_PER_WORKER:  # smaller sums make no syscall
         try:
@@ -260,15 +274,15 @@ def _prime_sums(
         except AttributeError:  # an OS without affinities: any core
             mask = set(range(os.cpu_count() or 1))
     workers = max(1, min(len(mask), len(units) // _BLOCKS_PER_WORKER))
-    span = rows * min(top, _BLOCK_TERMS)
-    # Per block units[j] and row i: its three partial sums, finite[j, :, i],
-    # and, for a row decided by IEEE addition, decided[j, i].  Each worker
-    # writes only its own blocks' entries.
-    finite = np.empty((len(units), 3, rows))
-    decided: dict[tuple[int, int], tuple[float, int]] = {}
+    span = max(rows, default=0) * min(top, _BLOCK_TERMS)
+    # Per batch b, block ranges[j] and row i: its three partial sums,
+    # finite[b][j, :, i], and, for a row decided by IEEE addition,
+    # decided[b][j, i].  Each worker writes only its own units' entries.
+    finite = [np.empty((len(ranges), 3, r)) for r in rows]
+    decided: list[dict[tuple[int, int], tuple[float, int]]] = [{} for _ in rows]
 
     def partials(mine: range, work: np.ndarray) -> None:
-        """Sums the blocks units[j] for j in ``mine``, made in ``work`` (2
+        """Sums the units units[u] for u in ``mine``, made in ``work`` (2
         ``span`` floats): per row, the unrounded partial sums over the
         block's finite rows into ``finite``, and for every other row its
         IEEE sum and the index of its first -inf term, ``top`` where it has
@@ -277,12 +291,13 @@ def _prime_sums(
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for j in mine:
-                start, stop = units[j]
-                n = stop - start
-                x = work[: rows * n].reshape(rows, n)
-                q = work[span : span + rows * n].reshape(rows, n)
-                terms(slice(start, stop), x, q)
+            for u in mine:
+                b, j = units[u]
+                start, stop = ranges[j]
+                n, r = stop - start, rows[b]
+                x = work[: r * n].reshape(r, n)
+                q = work[span : span + r * n].reshape(r, n)
+                terms[b](slice(start, stop), x, q)
                 m = (n + 1).bit_length()
                 tops = np.maximum.reduce(np.abs(x, out=q), axis=1)
                 # An inf or nan top marks a row decided by IEEE addition.  The
@@ -292,7 +307,7 @@ def _prime_sums(
                     for i in np.flatnonzero(~np.isfinite(tops)):
                         hits = np.flatnonzero(x[i] == -math.inf)
                         first = start + int(hits[0]) if hits.size else top
-                        decided[j, int(i)] = (float(np.add.reduce(x[i])), first)
+                        decided[b][j, int(i)] = (float(np.add.reduce(x[i])), first)
                         x[i] = 0.0
                         tops[i] = 0.0
                 sigma = np.ldexp(1.0, m + np.frexp(tops)[1])[:, None]
@@ -300,45 +315,60 @@ def _prime_sums(
                     np.add(x, level, out=q)
                     np.subtract(q, level, out=q)
                     np.subtract(x, q, out=x)
-                    np.add.reduce(q, axis=1, out=finite[j, k])
-                np.add.reduce(x, axis=1, out=finite[j, 2])
+                    np.add.reduce(q, axis=1, out=finite[b][j, k])
+                np.add.reduce(x, axis=1, out=finite[b][j, 2])
 
     shares = [range(k, len(units), workers) for k in range(workers)]
     if workers == 1:
         partials(shares[0], np.empty(2 * span))
     else:
-        # concurrent.futures imports logging, which only a large sum pays for.
-        from concurrent.futures import ThreadPoolExecutor
-
         # Left to the scheduler, two workers at times shared one core for a
         # whole call, slower than one worker (2-vCPU VM, most often after a
-        # long one-thread run such as the sieve): each pool thread keeps to
-        # the next core of the affinity.
-        cores = iter(sorted(mask))
+        # long one-thread run such as the sieve): each thread keeps to the
+        # next core of the affinity.
+        cores = sorted(mask)
         # Made here, the work arrays reuse the calling thread's freed heap;
-        # made in each pool thread's own malloc arena, they took fresh pages
+        # made in each thread's own malloc arena, they took fresh pages
         # (decay up to 10^8 grew VmHWM by 74.2-74.3 MiB, not 70.7-71.9).
         works = [np.empty(2 * span) for _ in shares]
-        with ThreadPoolExecutor(
-            workers, initializer=lambda: _keep_to({next(cores)})
-        ) as pool:
-            list(pool.map(partials, shares, works))
-    where = {block: j for j, block in enumerate(units)}
+        failures: list[Optional[BaseException]] = [None] * workers
 
-    def total(count: int) -> tuple[list[float], list[int]]:
+        def share(k: int) -> None:
+            _keep_to({cores[k]})
+            try:
+                partials(shares[k], works[k])
+            except BaseException as exc:  # re-raised in the caller below
+                failures[k] = exc
+
+        threads = [threading.Thread(target=share, args=(k,)) for k in range(workers)]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+        for failure in failures:
+            if failure is not None:
+                raise failure
+    where = {block: j for j, block in enumerate(ranges)}
+
+    def total(b: int, count: int) -> tuple[list[float], list[int]]:
         mine = [where[block] for block in blocks(count)]
-        by_row = finite[mine].transpose(2, 0, 1).reshape(rows, -1).tolist()
+        by_row = finite[b][mine].transpose(2, 0, 1).reshape(rows[b], -1).tolist()
         others: list[list[float]] = [[] for _ in by_row]
-        firsts = [count] * rows
+        firsts = [count] * rows[b]
         own = set(mine)
-        for (j, i), (other, first) in decided.items():
+        for (j, i), (other, first) in decided[b].items():
             if j in own:
                 others[i].append(other)
                 firsts[i] = min(firsts[i], first)
-        return [math.fsum(a) + sum(b) for a, b in zip(by_row, others)], firsts
+        return [math.fsum(a) + sum(c) for a, c in zip(by_row, others)], firsts
 
-    results = [total(count) for count in counts]
-    return results[0] if one else results
+    results = [[total(b, count) for count in counts] for b in range(len(rows))]
+    if one:
+        results = [per_count[0] for per_count in results]
+    return results[0] if alone else results
 
 
 def _keep_to(cores: set[int]) -> None:
@@ -377,25 +407,24 @@ def _points(s: complex | Sequence[complex]) -> tuple[list[complex], bool]:
     return [complex(p) for p in s], False
 
 
-def batches(points: Sequence[complex], table: PrimeTable) -> Iterator[list[complex]]:
-    """``points``, in order, cut into the batches that one kernel call sums.
+def _batches(points: Sequence[complex], table: PrimeTable) -> list[list[complex]]:
+    """``points``, in order, cut into the batches of one kernel call.
 
     A batch holds at most B = _BLOCK_TERMS // table.count points (at least
     one), all of which take the real formula of log_raw_product or all the
     complex one.  So a batch forms only where the whole table fits one
-    block, and its work array is no larger than one point's at a table of
-    a full block: 1 MiB per worker for complex terms.  At x = 10^4 (1,229
-    primes) B is 26, at 10^5 it is 3, and from 16,385 primes on it is 1.
+    block, and its rows of a work array are no more than one point's at a
+    table of a full block: 1 MiB per worker for complex terms.  At x = 10^4
+    (1,229 primes) B is 26, at 10^5 it is 3, and from 16,385 primes on it
+    is 1.
     """
     size = max(1, _BLOCK_TERMS // max(table.count, 1))
-    batch = []
+    cut: list[list[complex]] = []
     for s in points:
-        if len(batch) == size or batch and _is_real(s) != _is_real(batch[0]):
-            yield batch
-            batch = []
-        batch.append(s)
-    if batch:
-        yield batch
+        if not cut or len(cut[-1]) == size or _is_real(s) != _is_real(cut[-1][0]):
+            cut.append([])
+        cut[-1].append(s)
+    return cut
 
 
 def _per_limit(values: list[list], one: bool, limits: Optional[Sequence[int]]):
@@ -420,41 +449,56 @@ def log_raw_product(
 
     ``s`` is one point, which gives a complex, or a sequence of points,
     which gives a list of them in order, each the one point's sum bit for
-    bit.  Each of its batches (see ``batches``) is one call of the kernel:
-    B points of real s write B rows of terms, others 2B.
+    bit.  All of them are one call of the kernel, in the batches of
+    ``_batches``: a batch of B points of real s writes B rows of terms,
+    others 2B.
 
     ``limits``, truncations x up to table.limit, asks for the sums over
     p <= x for each x instead, in order: one result per limit, each that of
-    a call over table.truncate(x), bit for bit.  Each batch is still one
-    kernel call, which sums every limit's prefix of the table in one pass
-    (see _prime_sums).
+    a call over table.truncate(x), bit for bit.  The one kernel call sums
+    every limit's prefix of the table in one pass (see _prime_sums).
 
     Raises SingularFactorError if some factor vanishes at s (possible only
     outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
     term's log1p argument rounds to -1, as for prime 2 at s = 1e-18 and at
-    s = 1e-18 + 1e-300i), naming the least such prime, which the batch's
-    one kernel call finds; a sequence raises it for its first such point.
-    With ``limits`` it is raised where some limit reaches that prime.
+    s = 1e-18 + 1e-300i), naming the least such prime, which the kernel
+    call finds; a sequence raises it for its first such point.  With
+    ``limits`` it is raised where some limit reaches that prime.
     """
     points, one = _points(s)
     if limits is None:
         counts = [table.count]
     else:
         counts = [table.truncate(x).count for x in limits]
-    sums = [[] for _ in counts]
-    for batch in batches(points, table):
-        for total, part in zip(sums, _log_raw_sums(batch, table, variant, counts)):
-            total += part
-    return _per_limit(sums, one, limits)
-
-
-def _log_raw_sums(
-    batch: list[complex], table: PrimeTable, variant: ProductVariant, counts: list[int]
-) -> list[list[complex]]:
-    """log_raw_product of one batch over the first c primes of ``table``
-    for each c of ``counts``, per count and then per point, in one call of
-    the kernel."""
     coeff, sign = _SHAPE[variant]
+    cut = _batches(points, table)
+    shapes = [_log_terms(batch, table, sign) for batch in cut]
+    per_batch = _prime_sums(counts, [rows for rows, _ in shapes], [t for _, t in shapes])
+    values: list[list[complex]] = [[] for _ in counts]
+    for batch, per_count in zip(cut, per_batch):
+        # Row i of a batch holds the real parts of its point i's terms.  A
+        # vanishing factor's term is log1p(-1) = -inf, and only a row with a
+        # -inf term and no +inf or nan sums to -inf: the summing pass has
+        # named its first.
+        for i, point in enumerate(batch):
+            for sums, firsts in per_count:
+                if sums[i] == -math.inf:
+                    p = round(math.exp(table.log_primes[firsts[i]]))
+                    raise SingularFactorError(
+                        f"Euler factor vanishes at prime {p} for s = {point}", prime=p
+                    )
+        # A real point has one row, and imaginary part +0.0 as complex(re) has.
+        k = len(batch)
+        for row, (sums, _) in zip(values, per_count):
+            ims = sums[k:] or [0.0] * k
+            row += [coeff * complex(re, im) for re, im in zip(sums[:k], ims)]
+    return _per_limit(values, one, limits)
+
+
+def _log_terms(batch: list[complex], table: PrimeTable, sign: float):
+    """The rows and the ``terms`` of one batch of log_raw_product for
+    _prime_sums: log(1 + sign p^-s) for each point s of ``batch``, by the
+    real formula if its points take it, else by the complex one."""
     k = len(batch)
 
     def real_terms(block, out, work):
@@ -483,26 +527,7 @@ def _log_raw_sums(
         np.log1p(x, out=x)
         np.multiply(0.5, x, out=a)
 
-    real = _is_real(batch[0])  # every p^-s of the batch is real
-    terms, rows = (real_terms, k) if real else (complex_terms, 2 * k)
-    per_count = _prime_sums(counts, rows, terms)
-    # Row i holds the real parts of point i's terms.  A vanishing factor's
-    # term is log1p(-1) = -inf, and only a row with a -inf term and no +inf
-    # or nan sums to -inf: the summing pass has named its first.
-    for i in range(k):
-        for sums, firsts in per_count:
-            if sums[i] == -math.inf:
-                p = round(math.exp(table.log_primes[firsts[i]]))
-                raise SingularFactorError(
-                    f"Euler factor vanishes at prime {p} for s = {batch[i]}", prime=p
-                )
-    # A real point has one row: complex(re) has imaginary part +0.0.
-    if real:
-        return [[coeff * complex(re) for re in sums] for sums, _ in per_count]
-    return [
-        [coeff * complex(re, im) for re, im in zip(sums[:k], sums[k:])]
-        for sums, _ in per_count
-    ]
+    return (k, real_terms) if _is_real(batch[0]) else (2 * k, complex_terms)
 
 
 def refuse_pole(points: Sequence[complex]) -> None:

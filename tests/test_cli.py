@@ -342,15 +342,38 @@ def run_process(*argv, code=None):
 
 
 def test_importing_the_cli_loads_no_pool_logging_or_fractions():
-    # Only a sum large enough for a thread pool imports concurrent.futures,
-    # and with it logging; zeta_ref's weights need no fractions.  The CLI's
-    # start-up pays for none of them.
+    # concurrent.futures imports logging, and zeta_ref's weights need no
+    # fractions.  The CLI's start-up pays for none of them.
     proc = run_process(code=(
         "import sys, eulerprod.cli\n"
         "print(*(m in sys.modules for m in ('concurrent.futures', 'logging', 'fractions')))"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * 3
+
+
+MODULES_OF_MAIN = """
+import os, sys, threading
+from eulerprod import cli
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
+code = cli.main(sys.argv[1:])
+print(len(started), *(m in sys.modules for m in ("concurrent.futures", "logging")))
+sys.exit(code)
+"""
+
+
+def test_a_line_scan_on_two_workers_loads_no_pool_or_logging():
+    # line-tall's scan sums its 193 batches in one kernel call, on two
+    # plain threads here: concurrent.futures would import logging (7.3 ms
+    # by -X importtime) in every such scan.
+    proc = run_process("scan-line", "--sigma", "0.55", "--t", "0.01", "--t-max", "100",
+                       "--step", "0.02", "--x", "10000", "--out", os.devnull,
+                       code=MODULES_OF_MAIN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "False", "False"]
 
 
 FAULTS_OF_MAIN = """
@@ -365,10 +388,10 @@ sys.exit(code)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page faults")
 def test_line_scan_does_not_fault_in_fresh_pages(tmp_path):
-    # Each row's kernel call makes its 3 blocks in one work array.  When
-    # every block allocated its own temporaries, these 197 complex rows at
-    # x = 10^6 took 220,000 minor page faults; one array per call takes
-    # about 1,000, sieve included.
+    # The scan's one kernel call makes its 197 complex rows at x = 10^6,
+    # 591 (batch, block) units, in one work array per worker.  When every
+    # block allocated its own temporaries, these rows took 220,000 minor
+    # page faults; one array per worker takes about 1,100, sieve included.
     proc = run_process("scan-line", "--sigma", "0.75", "--t", "1", "--t-max", "50",
                        "--step", "0.25", "--x", "1000000",
                        "--out", str(tmp_path / "line.csv"), code=FAULTS_OF_MAIN)

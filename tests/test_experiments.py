@@ -18,6 +18,7 @@ from eulerprod import (
     zeta_ref,
 )
 from eulerprod.experiments import MAX_GRID_POINTS
+from test_product import fake_cores
 
 
 def real_axis_spec(**kwargs):
@@ -163,6 +164,38 @@ def test_scan_rows_equal_single_point_rows(table_1e4, spec, variant):
         assert row == evaluate(s, table_1e4, variant, spec.mode)
     failed = sum(row.value is None for row in rows)
     assert 20 <= failed <= 22 if spec.mode is ScanMode.REAL_AXIS else failed == 0
+
+
+@pytest.mark.parametrize("variant", list(ProductVariant))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(mode=ScanMode.REAL_AXIS, x=10**4, s_min=-0.5, s_max=2.0, step=0.01),
+        dict(mode=ScanMode.VERTICAL_LINE, x=10**4, sigma=0.55, t_min=-2.0, t_max=2.0,
+             step=0.01),
+        dict(mode=ScanMode.VERTICAL_LINE, x=10**5, sigma=0.75, t_min=-1.0, t_max=1.0,
+             step=0.05),
+    ],
+    ids=["real-axis-1e4", "vertical-line-1e4", "vertical-line-1e5"],
+)
+def test_scan_gives_the_same_bits_on_one_core_and_two(table_1e4, table_1e5, spec,
+                                                      variant, monkeypatch):
+    # A scan hands its whole grid to one kernel call, in batches of up to 26
+    # points at x = 10^4 and 3 at 10^5: at least 8 (batch, block) units,
+    # which take a second worker on two cores.  Each grid mixes real
+    # batches (real s > 0) with complex ones, and the real axis left of
+    # s = 0.04 fails, which sends its grid back batch by batch.  The rows
+    # are the same on one worker and two.
+    spec = ScanSpec(variant=variant, **spec)
+    table = table_1e4 if spec.x == 10**4 else table_1e5
+    fake_cores(monkeypatch, 1)
+    one = scan(spec, table)
+    reads = fake_cores(monkeypatch, 2)
+    two = scan(spec, table)
+    assert reads
+    assert repr(two) == repr(one)
+    failed = sum(row.value is None for row in one)
+    assert (failed > 0) is (spec.mode is ScanMode.REAL_AXIS)
 
 
 def test_scan_next_to_the_cut_makes_no_error_rows(table_1e4):

@@ -263,13 +263,18 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     def spy(count, rows, terms):
         addresses = []
 
-        def recording(block, out, work):
-            assert work.shape == out.shape
-            addresses.append((out.ctypes.data, work.ctypes.data))
-            terms(block, out, work)
+        def recording(terms):
+            def record(block, out, work):
+                assert work.shape == out.shape
+                addresses.append((out.ctypes.data, work.ctypes.data))
+                terms(block, out, work)
+
+            return record
 
         calls.append(addresses)
-        return prime_sums(count, rows, recording)
+        # log_raw_product passes one ``terms`` per batch, the others one.
+        spied = recording(terms) if callable(terms) else [recording(t) for t in terms]
+        return prime_sums(count, rows, spied)
 
     monkeypatch.setattr(product, "_prime_sums", spy)
     log_raw_product(0.8, table_1e4, ZETA)
@@ -741,7 +746,7 @@ def test_a_batch_sums_each_point_as_its_own_call(x):
         0.8, -0.5, -0.25 + 0.0j, 0.55 + 14.134725j, 2.0, 3.0,
         -200.0, -200.0 + 3.0j, -200.0 - 1.5j, -200.0 + 0.5j, 0.9 - 0.0j,
     ]
-    runs = [len(batch) for batch in product.batches([complex(p) for p in points], table)]
+    runs = [len(batch) for batch in product._batches([complex(p) for p in points], table)]
     assert sum(runs) == len(points) and max(runs) == min(size, 70)
     for variant in ProductVariant:
         batched = log_raw_product(points, table, variant)
@@ -775,6 +780,59 @@ def test_a_dead_factor_in_a_batch_raises_as_its_point_does(points, dead, variant
             log_raw_product(points, table, variant)
     assert batched.value.prime == alone.value.prime
     assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("x, size", [(10**4, 26), (10**5, 3)])
+def test_a_multi_batch_call_gives_the_same_bits_on_one_core_and_two(x, size, monkeypatch):
+    # One call sums all of its points' batches, in units of (batch, block):
+    # these 240 points make far more than the 8 units that take a second
+    # worker on two cores.  They mix real batches (real s > 0) with complex
+    # ones (real s <= 0 and complex s), and far left every term is inf or
+    # nan.  Each point's sum is its own single call's on one worker or two.
+    table = sieve(x)
+    rng = np.random.default_rng(x + 1)
+    points = [
+        *rng.uniform(0.05, 4.0, 60),
+        *(rng.uniform(0.5, 2.0, 120) + 1j * rng.uniform(-60, 60, 120)),
+        *rng.uniform(0.05, 4.0, 40),
+        -0.5, -0.25 + 0.0j, 0.55 + 14.134725j, -200.0, -200.0 + 3.0j, 0.9, 2.0,
+        *(0.6 + 1j * rng.uniform(-5, 5, 13)),
+    ]
+    cut = product._batches([complex(p) for p in points], table)
+    assert max(map(len, cut)) == size and len(cut) >= 8
+    assert len({product._is_real(batch[0]) for batch in cut}) == 2
+    for variant in ProductVariant:
+        alone = [log_raw_product(s, table, variant) for s in points]
+        fake_cores(monkeypatch, 1)
+        one = log_raw_product(points, table, variant)
+        reads = fake_cores(monkeypatch, 2)
+        two = log_raw_product(points, table, variant)
+        assert len(reads) == 1
+        for s, a, b, c in zip(points, alone, one, two):
+            assert same_bits(b, a) and same_bits(c, a), (s, variant)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("x", [10**4, 10**5])
+def test_a_dead_factor_in_a_multi_batch_call_is_the_first_points(x, workers, monkeypatch):
+    # 9973's point comes first and 7919's later, in another batch: the call
+    # sums both, on one worker or two, and raises the single call's error
+    # for 9973, the first failing point, though 7919 is the lesser prime.
+    table = sieve(x)
+    fake_cores(monkeypatch, workers)
+    points = [0.8 + 0.25j * k for k in range(100)]
+    points[60:60] = [2.0, 0.6, dead_at(9973)]
+    points[150:150] = [dead_at(7919), 1.5]
+    assert len(product._batches(points, table)) >= 8
+    for variant in (ZETA, INVERSE):
+        with pytest.raises(SingularFactorError) as alone:
+            log_raw_product(dead_at(9973), table, variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFactorError) as batched:
+                log_raw_product(points, table, variant)
+        assert batched.value.prime == alone.value.prime == 9973
+        assert str(batched.value) == str(alone.value)
 
 
 # ---------------------------------------------------------- corrected_product
