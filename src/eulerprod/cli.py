@@ -20,7 +20,8 @@ correction order 2: the paper's E1 factor plus the prime-square term on
 Each subparser binds its runner as ``run`` (the two scans also their
 ScanMode as ``mode``), and main calls ``args.run(args)``.  A ValueError
 from a runner, or the sieve's ResourceLimitError for an x above its cap,
-is a usage error (exit 2); any other EulerProductError exits 1.
+is a usage error (exit 2); any other EulerProductError, and an ``--out``
+that cannot be written, exits 1.
 """
 
 from __future__ import annotations
@@ -224,9 +225,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     text = "\n".join([CSV_HEADER, *map(_row_line, rows)]) + "\n"
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="ascii", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"eulerprod: error: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

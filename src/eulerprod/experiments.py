@@ -61,7 +61,8 @@ class ScanSpec:
     RealAxis mode sweeps real s from s_min to s_max; VerticalLine mode fixes
     sigma and sweeps t from t_min to t_max.  ``step`` must be positive and
     the range nonempty (equal endpoints give a single point).  Step, sigma
-    and bounds must be finite, and the grid at most MAX_GRID_POINTS long.
+    and bounds must be finite, the grid at most MAX_GRID_POINTS long, and x
+    at least 2, so that p <= x has a prime and log x > 0.
     A scan takes no side of E1's branch cut: no product depends on it (see
     eulerprod.product.corrected_product).
     """
@@ -83,8 +84,8 @@ class ScanSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.x < 1:
-            raise ValueError(f"truncation x must be at least 1, got {self.x}")
+        if self.x < 2:
+            raise ValueError(f"truncation x must be at least 2, got {self.x}")
         if self.mode is ScanMode.REAL_AXIS:
             if self.s_min is None or self.s_max is None:
                 raise ValueError("real-axis scans need s_min and s_max")

@@ -95,7 +95,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Number
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -188,29 +188,26 @@ class Evaluation:
         return tuple(flags)
 
 
-def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
-    """Sums of the first c per-prime terms in ``rows`` quantities, for each
-    count c of ``counts``, one count or a sequence of counts, in one pass.
+def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
+    """Sums of the first c per-prime terms of each batch's quantities, for
+    each count c of ``counts``, in one pass: ``result[b][c]`` is batch b's
+    ``(sums, firsts)`` at the c-th count.
 
-    ``terms(block, out, work)`` writes the terms of ``block``, a slice of
-    range(max(counts)), into ``out``, shape (rows, len(block)): one
-    contiguous row per quantity.  ``work``, of ``out``'s shape and as
-    contiguous, is ``terms``'s own until it returns; both are the two halves
-    of one work array per worker.  For each count it gives one sum per
-    quantity (no terms sum to 0) and, per quantity, the index of its first
-    -inf term below the count, or the count where it has none: one count
-    gives that pair, a sequence one pair per count, in order.  Each row's
-    largest term and splitting constants come from one array operation over
-    the rows, and only rows that hold an inf or a nan are added up one by
-    one, in place: a row's sum does not depend on the rows beside it.
-
-    ``rows`` and ``terms`` may instead be sequences, one entry per batch:
-    each batch brings its own quantities and its own ``terms``, and gets
-    the result that a call over it alone gives, one result per batch in
-    order.  The pass's work units are then (batch, block) pairs, batch by
-    batch, and a worker's array holds 2 max(rows) times min(max(counts),
-    _BLOCK_TERMS) floats: log_raw_product cuts its points into batches
-    (see _batches) that keep it at most 1 MiB.
+    Batch b is a pair ``(rows, terms)``.  ``terms(block, out, work)`` writes
+    the terms of ``block``, a slice of range(max(counts)), into ``out``,
+    shape (rows, len(block)): one contiguous row per quantity.  ``work``, of
+    ``out``'s shape and as contiguous, is ``terms``'s own until it returns;
+    both are the two halves of one work array per worker.  Per count it
+    gives one sum per quantity (no terms sum to 0) and, per quantity, the
+    index of its first -inf term below the count, or the count where it has
+    none.  Each row's largest term and splitting constants come from one
+    array operation over the rows, and only rows that hold an inf or a nan
+    are added up one by one, in place: a row's sum does not depend on the
+    rows beside it, nor a batch's on the batches beside it.  The pass's
+    work units are (batch, block) pairs, batch by batch, and a worker's
+    array holds 2 max(rows) times min(max(counts), _BLOCK_TERMS) floats:
+    log_raw_product cuts its points into batches (see _batches) that keep
+    it at most 1 MiB.
 
     A count c's blocks, with B = _BLOCK_TERMS, are the full blocks
     [jB, (j+1)B) for j < c // B and its tail [(c // B) B, c), where c is
@@ -220,8 +217,10 @@ def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
     tail is its last block.  A count's sums are one math.fsum over its own
     blocks' partial sums, and its first -inf term the least of its own
     blocks': each count gets the bits of its own call by construction.
-    Decay up to x = 10^8 sums 5,794,457 terms for its five counts, where
-    five calls would sum 6,515,353.
+    The counts may come in any order and repeat: each is summed from its
+    own blocks, so each gets those bits wherever it stands.  Decay up to
+    x = 10^8 sums 5,794,457 terms for its five counts, where five calls
+    would sum 6,515,353.
 
     Every finite term of a block of n must lie below 2^(1023-m), where m is
     the least with 2^m >= n + 2 (2^1007 at the shipped block size), so that
@@ -255,10 +254,7 @@ def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
     n^2 2^(2m+e-159) < 8 n^2 (n+2)^2 2^-159 max|x|, below n 2^-104 max|x|
     for n <= 2^17.  math.fsum adds the three sums of every block.
     """
-    one = isinstance(counts, int)
-    counts = [counts] if one else list(counts)
-    alone = isinstance(rows, int)
-    rows, terms = ([rows], [terms]) if alone else (list(rows), list(terms))
+    rows = [r for r, _ in batches]
     top = max(counts, default=0)
 
     def blocks(count: int) -> list[tuple[int, int]]:
@@ -294,10 +290,10 @@ def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
             for u in mine:
                 b, j = units[u]
                 start, stop = ranges[j]
-                n, r = stop - start, rows[b]
+                n, (r, terms) = stop - start, batches[b]
                 x = work[: r * n].reshape(r, n)
                 q = work[span : span + r * n].reshape(r, n)
-                terms[b](slice(start, stop), x, q)
+                terms(slice(start, stop), x, q)
                 m = (n + 1).bit_length()
                 tops = np.maximum.reduce(np.abs(x, out=q), axis=1)
                 # An inf or nan top marks a row decided by IEEE addition.  The
@@ -365,10 +361,7 @@ def _prime_sums(counts: int | Sequence[int], rows: int | Sequence[int], terms):
                 firsts[i] = min(firsts[i], first)
         return [math.fsum(a) + sum(c) for a, c in zip(by_row, others)], firsts
 
-    results = [[total(b, count) for count in counts] for b in range(len(rows))]
-    if one:
-        results = [per_count[0] for per_count in results]
-    return results[0] if alone else results
+    return [[total(b, count) for count in counts] for b in range(len(rows))]
 
 
 def _keep_to(cores: set[int]) -> None:
@@ -453,10 +446,11 @@ def log_raw_product(
     ``_batches``: a batch of B points of real s writes B rows of terms,
     others 2B.
 
-    ``limits``, truncations x up to table.limit, asks for the sums over
-    p <= x for each x instead, in order: one result per limit, each that of
-    a call over table.truncate(x), bit for bit.  The one kernel call sums
-    every limit's prefix of the table in one pass (see _prime_sums).
+    ``limits``, truncations x up to table.limit in any order and with
+    repeats allowed, asks for the sums over p <= x for each x instead, in
+    order: one result per limit, each that of a call over
+    table.truncate(x), bit for bit.  The one kernel call sums every
+    limit's prefix of the table in one pass (see _prime_sums).
 
     Raises SingularFactorError if some factor vanishes at s (possible only
     outside the supported half-plane, e.g. p^s = 1 at s = 0, or where a
@@ -472,8 +466,7 @@ def log_raw_product(
         counts = [table.truncate(x).count for x in limits]
     coeff, sign = _SHAPE[variant]
     cut = _batches(points, table)
-    shapes = [_log_terms(batch, table, sign) for batch in cut]
-    per_batch = _prime_sums(counts, [rows for rows, _ in shapes], [t for _, t in shapes])
+    per_batch = _prime_sums(counts, [_log_terms(batch, table, sign) for batch in cut])
     values: list[list[complex]] = [[] for _ in counts]
     for batch, per_count in zip(cut, per_batch):
         # Row i of a batch holds the real parts of its point i's terms.  A
@@ -654,7 +647,8 @@ def prime_zeta_truncated(s: complex, table: PrimeTable) -> complex:
         _prime_powers([s], table.log_primes[block], w.reshape(1, -1))
         out[0], out[1] = w.real, w.imag
 
-    head = complex(*_prime_sums(table.count, 2, terms)[0])
+    [[(sums, _)]] = _prime_sums([table.count], [(2, terms)])
+    head = complex(*sums)
     z = (s - 1.0) * math.log(table.limit)
     return head + e1(z).value  # raises SingularityError when x = 1
 

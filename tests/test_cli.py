@@ -104,6 +104,15 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert data.endswith(b"\n")
 
 
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "eval", "--sigma", "2", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"eulerprod: error: cannot write {path}: ")
+    assert "No such file or directory" in err and "Traceback" not in err
+
+
 def test_decay_rows_and_fit_summary(capsys):
     code, out, err = run_cli(
         capsys, "decay", "--sigma", "0.75", "--t", "5",
@@ -123,9 +132,9 @@ def test_decay_sums_every_x_in_one_kernel_pass(capsys, monkeypatch):
     passes = []
     original = product._prime_sums
 
-    def counting(counts, rows, terms):
+    def counting(counts, batches):
         passes.append(list(counts))
-        return original(counts, rows, terms)
+        return original(counts, batches)
 
     monkeypatch.setattr(product, "_prime_sums", counting)
     x_grid = [100, 1000, 10000, 100000]

@@ -66,6 +66,8 @@ def test_spec_validation():
         ScanSpec(mode=ScanMode.VERTICAL_LINE, x=100, step=0.1, t_min=0.0, t_max=1.0)
     with pytest.raises(ValueError):
         real_axis_spec(s_min=0.96, s_max=1.04).grid()  # nothing survives the guard
+    with pytest.raises(ValueError):
+        real_axis_spec(x=1)  # no prime, and log x = 0
 
 
 @pytest.mark.parametrize(

@@ -60,13 +60,13 @@ def fsum_log_raw(s, table, variant, real_exp=True):
 
 
 def writes(terms):
-    """A ``_prime_sums`` callback: ``terms`` has one row per quantity, and
-    each block's columns of it are written into ``out``."""
+    """A ``_prime_sums`` batch ``(rows, writer)``: ``terms`` has one row per
+    quantity, and the writer writes each block's columns of it into ``out``."""
 
     def fill(block, out, work):
         out[...] = terms[:, block]
 
-    return fill
+    return len(terms), fill
 
 
 def fake_cores(monkeypatch, n):
@@ -260,7 +260,7 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
     prime_sums = product._prime_sums
     calls = []
 
-    def spy(count, rows, terms):
+    def spy(counts, batches):
         addresses = []
 
         def recording(terms):
@@ -272,9 +272,7 @@ def test_every_block_writes_into_one_work_array(table_1e4, monkeypatch):
             return record
 
         calls.append(addresses)
-        # log_raw_product passes one ``terms`` per batch, the others one.
-        spied = recording(terms) if callable(terms) else [recording(t) for t in terms]
-        return prime_sums(count, rows, spied)
+        return prime_sums(counts, [(rows, recording(t)) for rows, t in batches])
 
     monkeypatch.setattr(product, "_prime_sums", spy)
     log_raw_product(0.8, table_1e4, ZETA)
@@ -311,7 +309,7 @@ def test_prime_sums_equal_fsum_at_every_width():
     rng = np.random.default_rng(2005)
     for width in range(301):
         terms = rng.standard_normal((2, width)) * np.exp(rng.uniform(-40, 40, (2, width)))
-        sums, _ = product._prime_sums(width, 2, writes(terms))
+        [[(sums, _)]] = product._prime_sums([width], [writes(terms)])
         assert sums == [math.fsum(row) for row in terms.tolist()]
 
 
@@ -331,7 +329,7 @@ def test_prime_sums_error_bound(values, block_terms):
     # the 3.6e-69 as a partial of its own, so fsum rounds up.
     terms = np.array([values], dtype=np.float64).reshape(1, len(values))
     with mock.patch.object(product, "_BLOCK_TERMS", block_terms):
-        (total,), _ = product._prime_sums(len(values), 1, writes(terms))
+        [[((total,), _)]] = product._prime_sums([len(values)], [writes(terms)])
     exact = sum(map(Fraction, values), Fraction(0))
     magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
     bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
@@ -353,7 +351,7 @@ def assert_exact_to_bound(values):
     """One _prime_sums row of ``values`` is math.fsum's, and within the
     documented 2^-53 |exact| + n 2^-104 sum|x| of the exact sum."""
     terms = np.array([values])
-    (total,), _ = product._prime_sums(len(values), 1, writes(terms))
+    [[((total,), _)]] = product._prime_sums([len(values)], [writes(terms)])
     exact = sum(map(Fraction, values), Fraction(0))
     magnitude = sum((abs(Fraction(v)) for v in values), Fraction(0))
     bound = abs(exact) / 2**53 + len(values) * magnitude / 2**104
@@ -389,22 +387,27 @@ def test_prime_sums_do_not_raise_on_overflow(monkeypatch):
     # math.fsum raises on both infinities; an inf or a nan decides a sum by
     # IEEE addition, also across blocks and workers.
     terms = np.array([[math.inf, -math.inf], [math.inf, 1.0]])
-    (both, overflow), _ = product._prime_sums(2, 2, writes(terms))
+    [[((both, overflow), _)]] = product._prime_sums([2], [writes(terms)])
     assert math.isnan(both)
     assert overflow == math.inf
     # Blocks of one term, dealt to two workers: each takes one infinity.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 1)
     fake_cores(monkeypatch, 2)
     terms = np.concatenate([terms, np.ones((2, 7))], axis=1)
-    (both, overflow), _ = product._prime_sums(9, 2, writes(terms))
+    [[((both, overflow), _)]] = product._prime_sums([9], [writes(terms)])
     assert math.isnan(both)
     assert overflow == math.inf
 
 
-def separate_calls(counts, rows, terms):
-    """One _prime_sums call per count, sums as hex so that the bits compare."""
-    calls = [product._prime_sums(count, rows, writes(terms)) for count in counts]
-    return [([v.hex() for v in sums], firsts) for sums, firsts in calls]
+def as_hex(per_count):
+    """One batch's (sums, firsts) per count, sums as hex so that the bits
+    compare."""
+    return [([v.hex() for v in sums], firsts) for sums, firsts in per_count]
+
+
+def separate_calls(counts, terms):
+    """One _prime_sums call per count, as ``as_hex`` gives it."""
+    return as_hex(product._prime_sums([c], [writes(terms)])[0][0] for c in counts)
 
 
 SHIPPED = product._BLOCK_TERMS
@@ -433,10 +436,8 @@ def test_several_counts_give_each_count_the_bits_of_its_own_call(
     rng = np.random.default_rng(len(counts) + block_terms)
     n = max(counts)
     terms = rng.standard_normal((2, n)) * np.exp(rng.uniform(-40, 40, (2, n)))
-    one_pass = product._prime_sums(counts, 2, writes(terms))
-    assert [([v.hex() for v in sums], firsts) for sums, firsts in one_pass] == (
-        separate_calls(counts, 2, terms)
-    )
+    [one_pass] = product._prime_sums(counts, [writes(terms)])
+    assert as_hex(one_pass) == separate_calls(counts, terms)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -453,14 +454,12 @@ def test_a_minus_inf_past_a_count_is_named_for_larger_counts_only(
     counts = [d // 2, d, d + 1, 9 * block_terms + 1]
     terms = np.random.default_rng(d).standard_normal((2, counts[-1]))
     terms[0, d] = -math.inf
-    one_pass = product._prime_sums(counts, 2, writes(terms))
+    [one_pass] = product._prime_sums(counts, [writes(terms)])
     for count, (sums, firsts) in zip(counts, one_pass):
         reached = count > d
         assert (sums[0] == -math.inf) is reached and math.isfinite(sums[1])
         assert firsts == [d if reached else count, count]
-    assert [([v.hex() for v in sums], firsts) for sums, firsts in one_pass] == (
-        separate_calls(counts, 2, terms)
-    )
+    assert as_hex(one_pass) == separate_calls(counts, terms)
 
 
 def test_no_worker_loses_a_row_decided_by_ieee_addition(monkeypatch):
@@ -485,7 +484,7 @@ def test_no_worker_loses_a_row_decided_by_ieee_addition(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            one_pass = product._prime_sums(counts, rows, writes(terms))
+            [one_pass] = product._prime_sums(counts, [writes(terms)])
             assert [firsts for _, firsts in one_pass] == expected
             assert all(sums == [-math.inf] * rows for sums, _ in one_pass)
     finally:
@@ -513,6 +512,28 @@ def test_log_raw_over_several_limits_equals_a_call_per_truncation(table_1e5, poi
     assert log_raw_product(dead_at(7919), table_1e5, ZETA, limits=[100, 7907]) == [
         log_raw_product(dead_at(7919), table_1e5.truncate(x), ZETA) for x in (100, 7907)
     ]
+
+
+@pytest.mark.parametrize("block_terms", [7, SHIPPED])
+def test_limits_in_any_order_and_repeated_get_the_bits_of_their_own_calls(
+    table_1e5, monkeypatch, block_terms
+):
+    # Each limit's sums come from its own blocks, so neither the order of
+    # the limits nor a repeat changes them, in log_raw_product or in the
+    # kernel, where row 0's -inf term is named for the counts that reach it.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", block_terms)
+    limits = [10**5, 100, 10**4, 100]
+    points = [2.0, 0.8 + 14.0j]
+    for variant in ProductVariant:
+        assert log_raw_product(points, table_1e5, variant, limits=limits) == [
+            log_raw_product(points, table_1e5.truncate(x), variant) for x in limits
+        ]
+    counts = [table_1e5.truncate(x).count for x in limits]
+    terms = np.random.default_rng(block_terms).standard_normal((2, counts[0]))
+    terms[0, 500] = -math.inf
+    [one_pass] = product._prime_sums(counts, [writes(terms)])
+    assert [firsts for _, firsts in one_pass] == [[500, 9592], [25, 25], [500, 1229], [25, 25]]
+    assert as_hex(one_pass) == separate_calls(counts, terms)
 
 
 # ------------------------------------------------------------------- workers
