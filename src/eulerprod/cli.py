@@ -194,6 +194,8 @@ def _run_decay(args) -> list[ScanRow]:
     try:
         fit = error_decay(s, x_grid, ProductVariant(args.variant))
     except DomainError as exc:
+        if args.sigma > 0.5:  # a numerical failure, such as E1 of an infinity
+            raise
         # Re(s) <= 1/2, refused before any sieving like a bad grid.
         raise ValueError(str(exc)) from None
     print(

@@ -214,9 +214,9 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
     no multiple of B: the blocks of a call over c terms alone.  The pass
     sums each block of every count once, so its work is the full blocks
     below the largest count and one tail per count; the largest count's
-    tail is its last block.  A count's sums are one math.fsum over its own
-    blocks' partial sums, and its first -inf term the least of its own
-    blocks': each count gets the bits of its own call by construction.
+    tail is its last block.  A count's sums and first -inf terms come from
+    its own blocks' slots alone (see below): each count gets the bits of
+    its own call by construction.
     The counts may come in any order and repeat: each is summed from its
     own blocks, so each gets those bits wherever it stands.  Decay up to
     x = 10^8 sums 5,794,457 terms for its five counts, where five calls
@@ -230,7 +230,14 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
     term is inf or nan is added up by plain IEEE addition, and so are all
     such rows of a quantity: its sum is nan if they hold a nan or both
     infinities, and +-inf otherwise.  Only such a row can hold a -inf
-    term, so this pass finds its first: every -inf sum has one.
+    term, so this pass finds its first: every -inf sum has one.  Each unit
+    writes its whole result into its own slots of two arrays of its batch:
+    per row, one holds its three exact partial sums and, if IEEE addition
+    decides the row, its IEEE sum (0.0 otherwise); the other, the index of
+    the row's first -inf term, or max(counts) where it has none.  A count's
+    sum of a row is math.fsum over its blocks' exact partial sums plus the
+    plain sum of their IEEE slots, and its first -inf term the least over
+    its blocks, or the count.
 
     A pass of fewer than 2 _BLOCKS_PER_WORKER units runs on the calling
     thread.  A larger one reads the caller's CPU affinity once and deals
@@ -271,18 +278,17 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
             mask = set(range(os.cpu_count() or 1))
     workers = max(1, min(len(mask), len(units) // _BLOCKS_PER_WORKER))
     span = max(rows, default=0) * min(top, _BLOCK_TERMS)
-    # Per batch b, block ranges[j] and row i: its three partial sums,
-    # finite[b][j, :, i], and, for a row decided by IEEE addition,
-    # decided[b][j, i].  Each worker writes only its own units' entries.
-    finite = [np.empty((len(ranges), 3, r)) for r in rows]
-    decided: list[dict[tuple[int, int], tuple[float, int]]] = [{} for _ in rows]
+    # Per batch b, block ranges[j] and row i: partial[b][j, :3, i] holds its
+    # three exact partial sums and partial[b][j, 3, i] its IEEE sum if IEEE
+    # addition decides it (0.0 otherwise), first[b][j, i] the index of its
+    # first -inf term, top where it has none.  Each worker writes only its
+    # own units' slots.
+    partial = [np.zeros((len(ranges), 4, r)) for r in rows]
+    first = [np.full((len(ranges), r), top) for r in rows]
 
     def partials(mine: range, work: np.ndarray) -> None:
         """Sums the units units[u] for u in ``mine``, made in ``work`` (2
-        ``span`` floats): per row, the unrounded partial sums over the
-        block's finite rows into ``finite``, and for every other row its
-        IEEE sum and the index of its first -inf term, ``top`` where it has
-        none, into ``decided``."""
+        ``span`` floats), into their slots of ``partial`` and ``first``."""
         # Far left of the half-plane p^-s overflows; the inf and nan it makes
         # reach the caller as a value or an error, not as numpy warnings.
         # numpy's error state is per thread, so each worker sets its own.
@@ -302,8 +308,9 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
                 if not math.isfinite(np.add.reduce(tops)):
                     for i in np.flatnonzero(~np.isfinite(tops)):
                         hits = np.flatnonzero(x[i] == -math.inf)
-                        first = start + int(hits[0]) if hits.size else top
-                        decided[b][j, int(i)] = (float(np.add.reduce(x[i])), first)
+                        if hits.size:
+                            first[b][j, i] = start + hits[0]
+                        partial[b][j, 3, i] = np.add.reduce(x[i])
                         x[i] = 0.0
                         tops[i] = 0.0
                 sigma = np.ldexp(1.0, m + np.frexp(tops)[1])[:, None]
@@ -311,8 +318,8 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
                     np.add(x, level, out=q)
                     np.subtract(q, level, out=q)
                     np.subtract(x, q, out=x)
-                    np.add.reduce(q, axis=1, out=finite[b][j, k])
-                np.add.reduce(x, axis=1, out=finite[b][j, 2])
+                    np.add.reduce(q, axis=1, out=partial[b][j, k])
+                np.add.reduce(x, axis=1, out=partial[b][j, 2])
 
     shares = [range(k, len(units), workers) for k in range(workers)]
     if workers == 1:
@@ -351,15 +358,10 @@ def _prime_sums(counts: Sequence[int], batches: Sequence[tuple[int, Callable]]):
 
     def total(b: int, count: int) -> tuple[list[float], list[int]]:
         mine = [where[block] for block in blocks(count)]
-        by_row = finite[b][mine].transpose(2, 0, 1).reshape(rows[b], -1).tolist()
-        others: list[list[float]] = [[] for _ in by_row]
-        firsts = [count] * rows[b]
-        own = set(mine)
-        for (j, i), (other, first) in decided[b].items():
-            if j in own:
-                others[i].append(other)
-                firsts[i] = min(firsts[i], first)
-        return [math.fsum(a) + sum(c) for a, c in zip(by_row, others)], firsts
+        exact = partial[b][mine, :3].transpose(2, 0, 1).reshape(rows[b], -1).tolist()
+        ieee = partial[b][mine, 3].T.tolist()
+        firsts = np.minimum.reduce(first[b][mine], axis=0, initial=count).tolist()
+        return [math.fsum(a) + sum(c) for a, c in zip(exact, ieee)], firsts
 
     return [[total(b, count) for count in counts] for b in range(len(rows))]
 

@@ -165,6 +165,18 @@ def test_decay_left_of_the_strip_is_a_usage_error(capsys, sigma):
     assert err.startswith("eulerprod: usage error:") and "Re(s) > 1/2" in err
 
 
+def test_decay_far_right_of_the_strip_is_a_numerical_error(capsys):
+    # At Re(s) = 1e308 the flags are valid but E1's argument (s - 1) log x
+    # is infinite: a failed computation (exit 1), as eval reports it.
+    argv = ["--sigma", "1e308", "--t", "5"]
+    code, out, err = run_cli(capsys, "decay", *argv, "--x-grid", "1000,10000,100000,1000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("eulerprod: error:") and "E1 needs a finite argument" in err
+    code, out, err = run_cli(capsys, "eval", *argv, "--x", "1000000")
+    assert (code, out) == (1, "") and err.startswith("eulerprod: error: E1 needs")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -462,12 +462,43 @@ def test_a_minus_inf_past_a_count_is_named_for_larger_counts_only(
     assert as_hex(one_pass) == separate_calls(counts, terms)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_batch_and_count_gets_the_bits_of_its_own_call_with_ieee_rows(
+    monkeypatch, workers
+):
+    # Two batches of 3 and 2 rows and four counts, 14 on a block boundary,
+    # in one call of 22 units.  Infinities and a nan sit in different
+    # blocks, some past the smaller counts, so a row is finite at one count,
+    # decided by IEEE addition at a larger one, and may name a later first
+    # -inf there.  Every (batch, count) is that batch's own call over that
+    # many terms, bit for bit.
+    monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
+    fake_cores(monkeypatch, workers)
+    counts = [5, 14, 30, 60]
+    rng = np.random.default_rng(34)
+    first, second = rng.standard_normal((3, 60)), rng.standard_normal((2, 60))
+    first[0, 3] = -math.inf  # block 0, below every count
+    first[0, 20] = math.inf  # block 2, past 5 and 14: nan from 30 on
+    first[1, 16] = math.nan  # block 2
+    first[2, 40] = -math.inf  # block 5, past 30
+    second[0, 9] = math.inf  # block 1, past 5
+    second[1, 29] = -math.inf  # block 4, past 14
+    second[1, 50] = -math.inf  # block 7, past 30: 29 stays the first
+    result = product._prime_sums(counts, [writes(first), writes(second)])
+    assert len(result) == 2
+    for terms, per_count in zip((first, second), result):
+        assert as_hex(per_count) == separate_calls(counts, terms)
+    decided = {v for per_count in result for sums, _ in as_hex(per_count) for v in sums}
+    assert {"inf", "-inf", "nan"} <= decided
+
+
 def test_no_worker_loses_a_row_decided_by_ieee_addition(monkeypatch):
-    # The workers record every block's rows that hold an inf in one shared
-    # table.  Row r holds one -inf per block from block r on, so each
-    # count's first -inf in row r lies in block r: a lost record of any of
-    # the first 8 blocks would name a later index.  Three workers on two
-    # cores, switching threads every microsecond, lose none.
+    # Each worker writes the IEEE sum and first -inf index of every row of
+    # its units that holds an inf into those units' own slots of the
+    # batch's arrays.  Row r holds one -inf per block from block r on, so
+    # each count's first -inf in row r lies in block r: a lost record of
+    # any of the first 8 blocks would name a later index.  Three workers on
+    # two cores, switching threads every microsecond, lose none.
     monkeypatch.setattr(product, "_BLOCK_TERMS", 7)
     fake_cores(monkeypatch, 3)
     rows, n = 8, 7 * 40
